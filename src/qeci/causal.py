@@ -16,7 +16,7 @@ from .density import (
     validate_density,
     von_neumann_entropy,
 )
-from .linalg import DEFAULT_EIG_TOL, DimensionMismatch, hermitian_eig, partial_trace, require_finite
+from .linalg import DimensionMismatch, partial_trace, require_finite
 
 TIE_TOL = 1e-9
 BRANCH_FLOOR = 1e-12
@@ -78,48 +78,49 @@ class CausalVerdict:
     s_exo_bwd: float
 
 
-def _warn_if_degenerate(eigenvalues: np.ndarray, label: str) -> None:
-    vals = np.sort(np.asarray(eigenvalues))
-    if vals.size >= 2 and (np.diff(vals) < DEGENERACY_GAP).any():
+def _cause_side(rho_ab: DensityMatrix, direction: str) -> tuple[float, MarginalSet]:
+    """Cause entropy and effect-side conditional spectra for one direction.
+
+    The cause-side reduced density is validated, which eigendecomposes it
+    once; its entropy, the degeneracy check and the branch kets all come
+    from that decomposition. Each branch conditional's spectrum likewise
+    comes from the decomposition its own validation took.
+    """
+    if len(rho_ab.dims) != 2:
+        raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
+    dim_a, dim_b = rho_ab.dims
+    if direction == "forward":
+        traced, side, label, dim = "B", "first", "A", dim_a
+    elif direction == "backward":
+        traced, side, label, dim = "A", "second", "B", dim_b
+    else:
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
+    values, vectors = reduced.eig.eigenvalues, reduced.eig.eigenvectors
+    if (-np.diff(values) < DEGENERACY_GAP).any():
+        # stacklevel 3 names the line that called qeci_infer or conditional_spectra
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "
             "the conditioning eigenbasis is not unique",
             DegeneracyWarning,
             stacklevel=3,
         )
+    rows = [
+        instance_conditional(rho_ab, pure_state(vectors[:, i]), side).eig.eigenvalues
+        for i, value in enumerate(values)
+        if value > BRANCH_FLOOR
+    ]
+    return von_neumann_entropy(reduced), MarginalSet.from_rows(rows)
 
 
-def conditional_spectra(
-    rho_ab: DensityMatrix, direction: str, eig_tol: float = DEFAULT_EIG_TOL
-) -> MarginalSet:
+def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
     """Spectra of the effect-side conditionals, one row per cause eigenbranch.
 
     The cause-side reduced density is eigendecomposed; for every eigenvalue
     above the branch floor, the effect side is conditioned on that eigenket
     and the conditional's eigenvalue spectrum (descending) becomes one row.
     """
-    if len(rho_ab.dims) != 2:
-        raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    dim_a, dim_b = rho_ab.dims
-    if direction == "forward":
-        reduced = partial_trace(rho_ab.mat, dim_a, dim_b, "B")
-        side, label = "first", "A"
-    elif direction == "backward":
-        reduced = partial_trace(rho_ab.mat, dim_a, dim_b, "A")
-        side, label = "second", "B"
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    eig = hermitian_eig(reduced, eig_tol)
-    _warn_if_degenerate(eig.eigenvalues, label)
-    rows = []
-    for i, value in enumerate(eig.eigenvalues):
-        if value <= BRANCH_FLOOR:
-            continue
-        ket = pure_state(eig.eigenvectors[:, i])
-        conditional = instance_conditional(rho_ab, ket, side)
-        spectrum = np.clip(hermitian_eig(conditional.mat, eig_tol).eigenvalues, 0.0, None)
-        rows.append(spectrum)
-    return MarginalSet.from_rows(rows)
+    return _cause_side(rho_ab, direction)[1]
 
 
 def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict:
@@ -129,15 +130,10 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
     plus the greedily coupled entropy of the effect-side conditional spectra,
     and prefers the smaller score.
     """
-    if len(rho_ab.dims) != 2:
-        raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    dim_a, dim_b = rho_ab.dims
-    rho_a = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, "B"), (dim_a,))
-    rho_b = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, "A"), (dim_b,))
-    s_cause_fwd = von_neumann_entropy(rho_a)
-    s_cause_bwd = von_neumann_entropy(rho_b)
-    s_exo_fwd = greedy_min_entropy_coupling(conditional_spectra(rho_ab, "forward")).entropy_bits
-    s_exo_bwd = greedy_min_entropy_coupling(conditional_spectra(rho_ab, "backward")).entropy_bits
+    s_cause_fwd, fwd_rows = _cause_side(rho_ab, "forward")
+    s_cause_bwd, bwd_rows = _cause_side(rho_ab, "backward")
+    s_exo_fwd = greedy_min_entropy_coupling(fwd_rows).entropy_bits
+    s_exo_bwd = greedy_min_entropy_coupling(bwd_rows).entropy_bits
     return _verdict(s_cause_fwd, s_exo_fwd, s_cause_bwd, s_exo_bwd, tie_tol)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .causal import DEGENERACY_GAP, DegeneracyWarning, JointDistribution
 from .density import DensityMatrix, validate_density
-from .linalg import DEFAULT_EIG_TOL, DimensionMismatch, dagger, hermitian_eig, kron, partial_trace
+from .linalg import DimensionMismatch, dagger, hermitian_eig, kron, partial_trace
 
 
 def diag_embed(joint: JointDistribution) -> DensityMatrix:
@@ -22,9 +22,7 @@ def diag_embed(joint: JointDistribution) -> DensityMatrix:
     return validate_density(np.diag(table.reshape(-1)).astype(complex), (m, n))
 
 
-def rotate_to_classical(
-    rho_ab: DensityMatrix, eig_tol: float = DEFAULT_EIG_TOL
-) -> JointDistribution:
+def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     """Read a joint table off a joint density rotated into its marginal eigenbases.
 
     Conjugates by the tensor product of the reduced densities' eigenvector
@@ -34,8 +32,8 @@ def rotate_to_classical(
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
     dim_a, dim_b = rho_ab.dims
-    eig_a = hermitian_eig(partial_trace(rho_ab.mat, dim_a, dim_b, "B"), eig_tol)
-    eig_b = hermitian_eig(partial_trace(rho_ab.mat, dim_a, dim_b, "A"), eig_tol)
+    eig_a = hermitian_eig(partial_trace(rho_ab.mat, dim_a, dim_b, "B"))
+    eig_b = hermitian_eig(partial_trace(rho_ab.mat, dim_a, dim_b, "A"))
     for eig, label in ((eig_a, "A"), (eig_b, "B")):
         gaps = np.diff(np.sort(eig.eigenvalues))
         if gaps.size and (gaps < DEGENERACY_GAP).any():

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -111,11 +112,16 @@ def cmd_sweep(args) -> int:
     lines = ["p,s_forward,s_backward,delta,direction"]
     for p in sorted(grid):
         try:
-            verdict = qeci_infer(spec.joint(p))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                verdict = qeci_infer(spec.joint(p))
         except (ValueError, EigenConvergenceError) as exc:
             print(f"warning: p={p:.10g} failed: {exc}", file=sys.stderr)
             lines.append(f"{p:.10g},nan,nan,nan,error")
             continue
+        finally:
+            for w in caught:
+                print(f"warning: p={p:.10g}: {w.message}", file=sys.stderr)
         direction = verdict.direction.arrow
         if p in (0.0, 1.0):
             # direction is formally undecidable at the symmetric endpoints

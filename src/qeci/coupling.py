@@ -70,7 +70,8 @@ def shannon_entropy(p) -> float:
     arr = np.clip(arr, 0.0, None)
     if abs(arr.sum() - 1.0) > 1e-6:
         raise MarginalError(f"probabilities sum to {arr.sum()!r}, not 1")
-    return float(-sum(v * math.log2(v) for v in arr if v > 0.0))
+    # adding 0.0 turns the -0.0 of a point mass into +0.0
+    return float(-sum(v * math.log2(v) for v in arr if v > 0.0)) + 0.0
 
 
 def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
@@ -97,7 +98,8 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     if total <= 0.0:
         raise MarginalError("no probability mass to couple")
     placements = [Placement(p.coords, p.mass / total) for p in placements]
-    entropy = -sum(p.mass * math.log2(p.mass) for p in placements)
+    # adding 0.0 turns the -0.0 of a single placement into +0.0
+    entropy = -sum(p.mass * math.log2(p.mass) for p in placements) + 0.0
     return CouplingResult(entropy_bits=float(entropy), placements=tuple(placements))
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     DimensionMismatch,
+    EigenDecomposition,
     NotHermitian,
     dagger,
     frobenius_norm,
@@ -38,10 +39,16 @@ class ZeroProbabilityCondition(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix with subsystem dims."""
+    """Hermitian, positive-semidefinite, unit-trace matrix with subsystem dims.
+
+    ``eig`` is the eigendecomposition of ``mat`` (of its Hermitian part) that
+    validate_density took to check positivity, so entropy and branch code
+    need not decompose the matrix again.
+    """
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    eig: EigenDecomposition = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -122,24 +129,29 @@ def validate_density(
     min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
     if min_eig < -tol:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
+    values = np.clip(eig.eigenvalues, 0.0, None)
+    scale = 1.0
     if min_eig < 0.0:
-        clamped = np.clip(eig.eigenvalues, 0.0, None)
-        m = (eig.eigenvectors * clamped) @ dagger(eig.eigenvectors)
-        m = m / np.trace(m).real
+        m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
+        scale = np.trace(m).real
     elif abs(trace - 1.0) > 1e-15:
         # accepted within tol; hand downstream code an exactly unit-trace matrix
-        m = m / trace.real
+        scale = trace.real
 
-    m = np.array(m, dtype=complex)
+    m = np.array(m / scale, dtype=complex)
     m.setflags(write=False)
-    return DensityMatrix(mat=m, dims=dims)
+    values = values / scale
+    values.setflags(write=False)
+    eig.eigenvectors.setflags(write=False)
+    eig = EigenDecomposition(eigenvalues=values, eigenvectors=eig.eigenvectors)
+    return DensityMatrix(mat=m, dims=dims, eig=eig)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue spectrum in bits, with 0 log 0 = 0."""
-    values = hermitian_eig(rho.mat).eigenvalues
-    s = -sum(v * math.log2(v) for v in values if v > ENTROPY_EIGENVALUE_FLOOR)
-    return max(float(s), 0.0)
+    s = -sum(v * math.log2(v) for v in rho.eig.eigenvalues if v > ENTROPY_EIGENVALUE_FLOOR)
+    # max(0.0, -0.0) keeps the first argument, so a pure state gives +0.0
+    return max(0.0, float(s))
 
 
 def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -26,6 +26,20 @@ def _load_json(path: str) -> Any:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _entry(cell) -> complex:
+    if not isinstance(cell, list) or len(cell) != 2 or not all(map(_is_number, cell)):
+        raise ValueError(f"{cell!r} is not an [re, im] pair")
+    return complex(*cell)
+
+
 def load_density_file(path: str, tol: float = 1e-9) -> DensityMatrix:
     """Parse a density file: {"dims": [...], "matrix": [[[re, im], ...], ...]}.
 
@@ -36,12 +50,12 @@ def load_density_file(path: str, tol: float = 1e-9) -> DensityMatrix:
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise FileFormatError(f"{path}: expected an object with 'dims' and 'matrix'")
     dims = doc["dims"]
+    if not isinstance(dims, list) or not all(_is_int(d) and d > 0 for d in dims):
+        raise FileFormatError(f"{path}: 'dims' must be an array of positive integers")
     raw = doc["matrix"]
     try:
-        mat = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in raw], dtype=complex
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        mat = np.array([[_entry(cell) for cell in row] for row in raw], dtype=complex)
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: matrix entries must be [re, im] pairs") from exc
     if mat.ndim != 2:
         raise FileFormatError(f"{path}: matrix rows have unequal lengths")
@@ -80,6 +94,8 @@ def load_marginal_rows(path: str) -> MarginalSet:
         raise FileFormatError(f"{path}: expected an array of probability rows")
     if len(doc) < 2:
         raise FileFormatError(f"{path}: need at least 2 rows, got {len(doc)}")
+    if not all(_is_number(v) for row in doc for v in row):
+        raise FileFormatError(f"{path}: probability rows must hold only numbers")
     return MarginalSet.from_rows(doc)
 
 

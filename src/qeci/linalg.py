@@ -1,14 +1,15 @@
-"""Dense complex linear algebra for small composite quantum systems."""
+"""Dense complex linear algebra for small composite quantum systems.
+
+Products, partial traces and subsystem swaps are numpy index operations; the
+Hermitian eigendecomposition is LAPACK's ``eigh`` reached through numpy, with
+input checks and a fixed output order and gauge on top.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_EIG_TOL = 1e-10
-MAX_JACOBI_SWEEPS = 100
 
 
 class DimensionMismatch(ValueError):
@@ -20,7 +21,7 @@ class NotHermitian(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass dropped below tolerance."""
+    """LAPACK's Hermitian eigensolver failed to converge (a numeric failure)."""
 
 
 @dataclass(frozen=True)
@@ -66,87 +67,35 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
+    """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
 
+    The input must be square, finite and Hermitian within ``herm_tol`` times
+    its Frobenius norm; the (sub-tolerance) anti-Hermitian part is averaged
+    out before the decomposition.
 
-def hermitian_eig(
-    a: np.ndarray,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    herm_tol: float = 1e-9,
-    max_sweeps: int = MAX_JACOBI_SWEEPS,
-) -> EigenDecomposition:
-    """Eigendecompose a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Each pivot is annihilated by a complex plane rotation (a phase factor
-    composed with a real Givens rotation). Sweeps stop once the off-diagonal
-    Frobenius mass falls below ``eig_tol`` times the matrix norm.
-
-    Returns eigenvalues sorted descending, ties keeping sweep output order.
-    Each eigenvector is rephased so its largest-magnitude component is real
-    and positive, which pins the gauge for non-degenerate spectra.
+    Returns eigenvalues sorted descending. Each eigenvector is rephased so its
+    largest-magnitude component is real and positive, which pins the gauge
+    for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
+    reports that the decomposition did not converge.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     require_finite(a)
-    n = a.shape[0]
-    norm = frobenius_norm(a)
-    if frobenius_norm(a - a.conj().T) > herm_tol * max(norm, 1.0):
-        raise NotHermitian(
-            f"hermiticity residual {frobenius_norm(a - a.conj().T):.3e} exceeds "
-            f"{herm_tol:.1e} * norm"
-        )
-
-    # Average out the (already sub-tolerance) anti-Hermitian part.
-    w = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    target = eig_tol * max(norm, np.finfo(float).tiny)
-
-    converged = _offdiag_norm(w) <= target
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = w[p, q]
-                mag = abs(beta)
-                if mag == 0.0:
-                    continue
-                phase = beta / mag
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary G: G[p,p]=c, G[p,q]=s, G[q,p]=-s*conj(phase), G[q,q]=c*conj(phase).
-                wp, wq = w[:, p].copy(), w[:, q].copy()
-                w[:, p] = c * wp - s * np.conj(phase) * wq
-                w[:, q] = s * wp + c * np.conj(phase) * wq
-                wp, wq = w[p, :].copy(), w[q, :].copy()
-                w[p, :] = c * wp - s * phase * wq
-                w[q, :] = s * wp + c * phase * wq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * vp + c * np.conj(phase) * vq
-        converged = _offdiag_norm(w) <= target
-    if not converged:
-        raise EigenConvergenceError(
-            f"off-diagonal mass {_offdiag_norm(w):.3e} above target after {max_sweeps} sweeps"
-        )
-
-    values = np.diag(w).real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        pivot = vectors[k, j]
-        if abs(pivot) > 0.0:
-            vectors[:, j] *= np.conj(pivot) / abs(pivot)
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    residual = frobenius_norm(a - a.conj().T)
+    if residual > herm_tol * max(frobenius_norm(a), 1.0):
+        raise NotHermitian(f"hermiticity residual {residual:.3e} exceeds {herm_tol:.1e} * norm")
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1]
+    if vectors.size:
+        pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+        vectors = vectors * (pivots.conj() / np.abs(pivots))
+    return EigenDecomposition(eigenvalues=values, eigenvectors=np.ascontiguousarray(vectors))
 
 
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, traced_side: str) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,10 +13,10 @@ from qeci.causal import (
     conditional_spectra,
     qeci_infer,
 )
-from qeci.channels import bitflip_entangled, qsc_computational, qsc_hadamard
+from qeci.channels import ChannelSpec, bitflip_entangled, qsc_computational, qsc_hadamard
 from qeci.classicalmap import diag_embed
 from qeci.density import instance_conditional, pure_state, validate_density
-from qeci.linalg import dagger, kron, swap_subsystems
+from qeci.linalg import dagger, hermitian_eig, kron, swap_subsystems
 
 from _helpers import (
     random_density,
@@ -194,3 +196,101 @@ def test_joint_distribution_validation():
         JointDistribution.from_table([[0.5, 0.6]])
     with pytest.raises(ValueError):
         JointDistribution.from_table([[1.2, -0.2]])
+
+
+@pytest.mark.parametrize(
+    "call", [qeci_infer, lambda rho: conditional_spectra(rho, "forward")]
+)
+def test_degeneracy_warning_names_the_caller(call):
+    with pytest.warns(DegeneracyWarning) as record:
+        call(bitflip_entangled(0.2))
+    assert record[0].filename == __file__
+
+
+def test_single_level_scores_are_positive_zero():
+    quantum = qeci_infer(validate_density(np.ones((1, 1)), (1, 1)))
+    classical = classical_eci(JointDistribution.from_table([[1.0]]))
+    for verdict in (quantum, classical):
+        for name in ("s_cause_fwd", "s_exo_fwd", "s_cause_bwd", "s_exo_bwd", "s_forward"):
+            assert math.copysign(1.0, getattr(verdict, name)) == 1.0, name
+
+
+# -- agreement with a numpy reference --------------------------------------------
+
+REF_FLOOR = 1e-12
+
+
+def _ref_entropy(p) -> float:
+    p = np.asarray(p, dtype=float)
+    p = p[p > REF_FLOOR]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _ref_greedy_entropy(rows) -> float:
+    rows = np.array(rows, dtype=float)
+    idx = np.arange(rows.shape[0])
+    masses = []
+    while True:
+        top = rows.argmax(axis=1)
+        r = rows[idx, top].min()
+        if r <= REF_FLOOR:
+            break
+        masses.append(r)
+        rows[idx, top] -= r
+    return _ref_entropy(np.array(masses) / sum(masses))
+
+
+def _ref_scores(mat, dim_a, dim_b):
+    """(s_cause_fwd, s_exo_fwd, s_cause_bwd, s_exo_bwd): partial traces and
+    conditionals by contraction of the joint tensor, spectra by eigh."""
+    r = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b)
+    scores = []
+    for t in (r, r.transpose(1, 0, 3, 2)):  # the cause index comes first
+        values, vectors = np.linalg.eigh(np.einsum("ikjk->ij", t))
+        spectra = []
+        for value, v in zip(values, vectors.T):
+            if value > REF_FLOOR:
+                numerator = np.einsum("i,ikjl,j->kl", v.conj(), t, v)
+                spectra.append(np.linalg.eigvalsh(numerator / np.trace(numerator).real))
+        scores += [_ref_entropy(values), _ref_greedy_entropy(np.clip(spectra, 0.0, None))]
+    return scores
+
+
+def _assert_agrees(rho):
+    verdict = qeci_infer(rho)
+    got = [verdict.s_cause_fwd, verdict.s_exo_fwd, verdict.s_cause_bwd, verdict.s_exo_bwd]
+    assert np.abs(np.subtract(got, _ref_scores(rho.mat, *rho.dims))).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (8, 2)])
+def test_qeci_infer_agrees_with_reference_on_ginibre_states(dims):
+    rng = np.random.default_rng(sum(dims) * 10 + dims[0])
+    for _ in range(3):
+        _assert_agrees(random_density(rng, dims))
+
+
+@pytest.mark.parametrize("kind", ChannelSpec.KINDS)
+def test_qeci_infer_agrees_with_reference_on_channel_sweeps(kind):
+    amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+    spec = ChannelSpec(kind, q=0.4, **(amplitudes if kind == "depolarizing" else {}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        for k in range(1, 20):
+            _assert_agrees(spec.joint(round(0.05 * k, 2)))
+
+
+def test_each_matrix_is_decomposed_once(monkeypatch):
+    rho = qsc_computational(0.4, 0.05)
+    seen = []
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a, dtype=complex)
+        seen.append((a.shape, a.tobytes()))
+        return hermitian_eig(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
+            monkeypatch.setattr(module, "hermitian_eig", counting)
+    qeci_infer(rho)
+    assert 0 < len(seen) <= 10
+    assert len(set(seen)) == len(seen)

@@ -70,6 +70,43 @@ def test_infer_parse_failure_exits_2(tmp_path, capsys):
     assert main(["infer", "--input", str(path)]) == 2
 
 
+def _write_density(tmp_path, edit) -> str:
+    payload = density_payload(qsc_computational(0.4, 0.05))
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("dims", [None, [[1]], [[2], [2]]])
+def test_infer_malformed_dims_exits_2(tmp_path, capsys, dims):
+    path = _write_density(tmp_path, lambda payload: payload.update(dims=dims))
+    assert main(["infer", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infer_cell_with_extra_component_exits_2(tmp_path, capsys):
+    path = _write_density(tmp_path, lambda payload: payload["matrix"][0][0].append(0.0))
+    assert main(["infer", "--input", path]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infer_single_level_prints_no_negative_zero(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dims": [1, 1], "matrix": [[[1.0, 0.0]]]}), encoding="utf-8")
+    assert main(["infer", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "Tie  S(A->B)=0.0000  S(A<-B)=0.0000"
+
+
+def test_infer_numeric_failure_exits_4(qsc_file, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["infer", "--input", qsc_file]) == 4
+    assert capsys.readouterr().err.startswith("error: numeric failure")
+
+
 def test_infer_trace_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "trace.json"
     rho = qsc_computational(0.4, 0.05)
@@ -141,6 +178,22 @@ def test_sweep_csv_is_byte_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_sweep_prints_each_warning_as_one_line(capsys):
+    assert main(
+        [
+            "sweep", "--channel", "depolarizing", "--q", "0.4",
+            "--gamma1", "0.6", "--lambda1", "0.8",
+            "--gamma2", str(2**-0.5), "--lambda2", str(2**-0.5),
+            "--p-start", "0.05", "--p-end", "0.95", "--steps", "19",
+        ]
+    ) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "warning: p=0.75: reduced density of side B has near-degenerate eigenvalues; "
+        "the conditioning eigenbasis is not unique"
+    ]
+
+
 def test_sweep_rejects_bad_channel_params(capsys):
     code = main(
         [
@@ -167,6 +220,13 @@ def test_coupling_three_identical_rows(tmp_path, capsys):
     path.write_text("[[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]", encoding="utf-8")
     assert main(["coupling", "--marginals", str(path)]) == 0
     assert "coupling entropy (bits): 1.0000" in capsys.readouterr().out
+
+
+def test_coupling_non_numeric_marginal_exits_2(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text('[[0.5, "x"], [0.5, 0.5]]', encoding="utf-8")
+    assert main(["coupling", "--marginals", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_coupling_unnormalized_rows_exit_3(tmp_path, capsys):

@@ -58,6 +58,15 @@ def test_validate_clamps_rounding_noise():
     assert abs(np.trace(rho.mat) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("diag", [[0.4, 0.6 + 4e-10], [1.0 + 1e-11, -1e-11]])
+def test_validated_density_keeps_its_own_spectrum(diag):
+    # the first matrix is renormalized within tol, the second clamped
+    rho = validate_density(np.diag(diag).astype(complex), (2,))
+    values, vectors = rho.eig.eigenvalues, rho.eig.eigenvectors
+    assert np.abs(values - np.linalg.eigvalsh(rho.mat)[::-1]).max() <= 1e-15
+    assert np.abs((vectors * values) @ vectors.conj().T - rho.mat).max() <= 1e-15
+
+
 def test_entropy_of_two_level_marginal():
     rho = validate_density(np.diag([0.4, 0.6]).astype(complex), (2,))
     assert von_neumann_entropy(rho) == pytest.approx(0.9710, abs=5e-5)

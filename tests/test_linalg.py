@@ -3,6 +3,7 @@ import pytest
 
 from qeci.linalg import (
     DimensionMismatch,
+    EigenConvergenceError,
     NotHermitian,
     dagger,
     hermitian_eig,
@@ -132,6 +133,15 @@ def test_hermitian_eig_gauge_pins_largest_component_positive():
         k = np.argmax(np.abs(v[:, i]))
         assert v[k, i].imag == pytest.approx(0.0, abs=1e-12)
         assert v[k, i].real > 0
+
+
+def test_hermitian_eig_maps_lapack_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenConvergenceError):
+        hermitian_eig(np.eye(2, dtype=complex))
 
 
 QSC_JOINT = np.diag([0.38, 0.02, 0.03, 0.57]).astype(complex)
