@@ -11,8 +11,8 @@ import numpy as np
 from .coupling import MarginalSet, greedy_min_entropy_coupling, shannon_entropy
 from .density import (
     DensityMatrix,
-    instance_conditional,
-    pure_state,
+    _block_spectra,
+    _conditional_blocks,
     validate_density,
     von_neumann_entropy,
 )
@@ -78,39 +78,65 @@ class CausalVerdict:
     s_exo_bwd: float
 
 
-def _cause_side(rho_ab: DensityMatrix, direction: str) -> tuple[float, MarginalSet]:
-    """Cause entropy and effect-side conditional spectra for one direction.
+@dataclass(frozen=True)
+class CauseSide:
+    """One direction's conditioning: the cause side and its effect conditionals.
 
-    The cause-side reduced density is validated, which eigendecomposes it
-    once; its entropy, the degeneracy check and the branch kets all come
-    from that decomposition. Each branch conditional's spectrum likewise
-    comes from the decomposition its own validation took.
+    ``reduced`` is the validated cause-side reduced density. Column i of
+    ``kets`` is its eigenket of the i-th largest eigenvalue, for each
+    eigenvalue above the branch floor; ``weights[i]`` is that branch's
+    probability, ``blocks[i]`` the unnormalized effect-side conditional and
+    ``rows.rows[i]`` the conditional's spectrum, descending.
+    """
+
+    reduced: DensityMatrix
+    kets: np.ndarray
+    weights: np.ndarray
+    blocks: np.ndarray
+    rows: MarginalSet
+
+
+def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatrix:
+    """Validated reduced density of side ``label`` ("A" or "B").
+
+    Warns with DegeneracyWarning, at ``stacklevel`` counted from this
+    function, when its eigenbasis is not unique.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
     dim_a, dim_b = rho_ab.dims
-    if direction == "forward":
-        traced, side, label, dim = "B", "first", "A", dim_a
-    elif direction == "backward":
-        traced, side, label, dim = "A", "second", "B", dim_b
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
     reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
-    values, vectors = reduced.eig.eigenvalues, reduced.eig.eigenvectors
-    if (-np.diff(values) < DEGENERACY_GAP).any():
-        # stacklevel 3 names the line that called qeci_infer or conditional_spectra
+    if (-np.diff(reduced.eig.eigenvalues) < DEGENERACY_GAP).any():
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "
             "the conditioning eigenbasis is not unique",
             DegeneracyWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    rows = [
-        instance_conditional(rho_ab, pure_state(vectors[:, i]), side).eig.eigenvalues
-        for i, value in enumerate(values)
-        if value > BRANCH_FLOOR
-    ]
-    return von_neumann_entropy(reduced), MarginalSet.from_rows(rows)
+    return reduced
+
+
+def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
+    """Cause side of one direction, with all effect conditionals at once.
+
+    The cause-side reduced density is validated, which eigendecomposes it
+    once; its eigenkets above the branch floor are the branches. All
+    conditionals come from one contraction of the joint and all their
+    spectra from one stacked eigvalsh.
+    """
+    if direction == "forward":
+        label, side = "A", "first"
+    elif direction == "backward":
+        label, side = "B", "second"
+    else:
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    # stacklevel 4 names the line that called qeci_infer or conditional_spectra
+    reduced = _reduced(rho_ab, label, stacklevel=4)
+    kets = reduced.eig.eigenvectors[:, reduced.eig.eigenvalues > BRANCH_FLOOR]
+    blocks, weights = _conditional_blocks(rho_ab, kets, side)
+    rows = MarginalSet.from_rows(_block_spectra(blocks, weights))
+    return CauseSide(reduced=reduced, kets=kets, weights=weights, blocks=blocks, rows=rows)
 
 
 def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
@@ -120,7 +146,7 @@ def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
     above the branch floor, the effect side is conditioned on that eigenket
     and the conditional's eigenvalue spectrum (descending) becomes one row.
     """
-    return _cause_side(rho_ab, direction)[1]
+    return _cause_side(rho_ab, direction).rows
 
 
 def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict:
@@ -130,11 +156,17 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
     plus the greedily coupled entropy of the effect-side conditional spectra,
     and prefers the smaller score.
     """
-    s_cause_fwd, fwd_rows = _cause_side(rho_ab, "forward")
-    s_cause_bwd, bwd_rows = _cause_side(rho_ab, "backward")
-    s_exo_fwd = greedy_min_entropy_coupling(fwd_rows).entropy_bits
-    s_exo_bwd = greedy_min_entropy_coupling(bwd_rows).entropy_bits
-    return _verdict(s_cause_fwd, s_exo_fwd, s_cause_bwd, s_exo_bwd, tie_tol)
+    return _score(_cause_side(rho_ab, "forward"), _cause_side(rho_ab, "backward"), tie_tol)
+
+
+def _score(fwd: CauseSide, bwd: CauseSide, tie_tol: float = TIE_TOL) -> CausalVerdict:
+    return _verdict(
+        von_neumann_entropy(fwd.reduced),
+        greedy_min_entropy_coupling(fwd.rows).entropy_bits,
+        von_neumann_entropy(bwd.reduced),
+        greedy_min_entropy_coupling(bwd.rows).entropy_bits,
+        tie_tol,
+    )
 
 
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:

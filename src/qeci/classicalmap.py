@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .causal import DEGENERACY_GAP, DegeneracyWarning, JointDistribution
+from .causal import JointDistribution, _reduced
 from .density import DensityMatrix, validate_density
-from .linalg import DimensionMismatch, dagger, hermitian_eig, kron, partial_trace
+from .linalg import dagger, kron
 
 
 def diag_embed(joint: JointDistribution) -> DensityMatrix:
@@ -29,22 +27,11 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     matrices and takes the real diagonal, clamped to nonnegative and
     renormalized. Rows and columns follow descending marginal eigenvalues.
     """
-    if len(rho_ab.dims) != 2:
-        raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    dim_a, dim_b = rho_ab.dims
-    eig_a = hermitian_eig(partial_trace(rho_ab.mat, dim_a, dim_b, "B"))
-    eig_b = hermitian_eig(partial_trace(rho_ab.mat, dim_a, dim_b, "A"))
-    for eig, label in ((eig_a, "A"), (eig_b, "B")):
-        gaps = np.diff(np.sort(eig.eigenvalues))
-        if gaps.size and (gaps < DEGENERACY_GAP).any():
-            warnings.warn(
-                f"reduced density of side {label} has near-degenerate eigenvalues; "
-                "the rotated table is not unique",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-    u = kron(eig_a.eigenvectors, eig_b.eigenvectors)
+    # stacklevel 3 names the line that called rotate_to_classical
+    vectors_a = _reduced(rho_ab, "A", stacklevel=3).eig.eigenvectors
+    vectors_b = _reduced(rho_ab, "B", stacklevel=3).eig.eigenvectors
+    u = kron(vectors_a, vectors_b)
     rotated = dagger(u) @ rho_ab.mat @ u
     diag = np.clip(np.diag(rotated).real, 0.0, None)
-    table = diag.reshape(dim_a, dim_b)
+    table = diag.reshape(rho_ab.dims)
     return JointDistribution.from_table(table / table.sum())

@@ -10,11 +10,11 @@ import warnings
 
 import numpy as np
 
-from .causal import CausalVerdict, qeci_infer
+from .causal import CausalVerdict, CauseSide, _cause_side, _score, qeci_infer
 from .channels import ChannelSpec, qsc_computational
 from .classicalmap import diag_embed, rotate_to_classical
 from .coupling import MarginalError, greedy_min_entropy_coupling
-from .density import NotPSD, TraceNotOne, ZeroProbabilityCondition, star_product
+from .density import DEFAULT_TOL, NotPSD, TraceNotOne, ZeroProbabilityCondition
 from .fileio import (
     FileFormatError,
     dump_density,
@@ -23,16 +23,7 @@ from .fileio import (
     load_table_file,
     table_to_csv,
 )
-from .linalg import (
-    DimensionMismatch,
-    EigenConvergenceError,
-    NotHermitian,
-    hermitian_eig,
-    partial_trace,
-    swap_subsystems,
-)
-
-DEFAULT_TOL = 1e-9
+from .linalg import DimensionMismatch, EigenConvergenceError, NotHermitian, swap_subsystems
 
 
 def _resolve_tol(args) -> float:
@@ -175,98 +166,49 @@ def _fmt_vec(values) -> str:
     return "[" + ", ".join(f"{float(v):.4f}" for v in values) + "]"
 
 
+def _branch_steps(label: str, side: CauseSide) -> list[str]:
+    """Walkthrough of one direction's branches, in ascending eigenvalue order."""
+    eig = side.reduced.eig
+    kets = side.kets[:, ::-1].T
+    weights = side.weights[::-1]
+    blocks = side.blocks[::-1]
+    spectra = side.rows.rows[::-1, ::-1]
+
+    def listed(symbol, items, fmt) -> str:
+        return "; ".join(f"{symbol}{i} = {fmt(item)}" for i, item in enumerate(items))
+
+    return [
+        f"eigendecomposition of reduced {label}: V = {_fmt_mat(eig.eigenvectors[:, ::-1])}, "
+        f"D = diag({_fmt_vec(eig.eigenvalues[::-1])})",
+        "loop over eigenbranches " + _fmt_vec(weights),
+        "branch projectors: " + listed("P", [np.outer(k, k.conj()) for k in kets], _fmt_mat),
+        "unnormalized conditionals: " + listed("N", blocks, _fmt_mat),
+        "conditional densities: " + listed("rho", blocks / weights[:, None, None], _fmt_mat),
+        "conditional spectra: " + listed("B", spectra, _fmt_vec),
+        "marginal matrix M = [" + "; ".join(_fmt_vec(s) for s in spectra) + "]",
+        "end of eigenbranch loop",
+    ]
+
+
 def cmd_demo(args) -> int:
     rho = qsc_computational(0.4, 0.05)
-    dim_a, dim_b = rho.dims
-    verdict = qeci_infer(rho)
-
-    rho_a = partial_trace(rho.mat, dim_a, dim_b, "B")
-    rho_b = partial_trace(rho.mat, dim_a, dim_b, "A")
-    rho_ba = swap_subsystems(rho.mat, dim_a, dim_b)
-    out = []
-
-    def step(n: int, text: str) -> None:
-        out.append(f"step {n:2d}: {text}")
-
-    step(1, f"reduced density of A = {_fmt_mat(rho_a)}")
-    step(2, f"reduced density of B = {_fmt_mat(rho_b)}")
-    step(3, f"joint reordered to B-first = {_fmt_mat(rho_ba)}")
-
-    def _branches(reduced: np.ndarray):
-        eig = hermitian_eig(reduced)
-        # ascending eigenvalue order for the printed walkthrough
-        pairs = list(zip(eig.eigenvalues, eig.eigenvectors.T))[::-1]
-        return [(float(v), np.asarray(k)) for v, k in pairs]
-
-    for offset, (label, base_mat, cond_dim, keep_dim) in enumerate(
-        (("A", rho.mat, dim_a, dim_b), ("B", rho_ba, dim_b, dim_a))
-    ):
-        base_step = 4 + offset * 10
-        reduced = rho_a if label == "A" else rho_b
-        branches = _branches(reduced)
-        vecs = np.column_stack([k for _, k in branches])
-        vals = [v for v, _ in branches]
-        step(
-            base_step,
-            f"eigendecomposition of reduced {label}: V = {_fmt_mat(vecs)}, "
-            f"D = diag({_fmt_vec(vals)})",
-        )
-        step(base_step + 1, "loop over eigenbranches " + _fmt_vec(vals))
-        projectors = [np.outer(k, k.conj()) for _, k in branches]
-        step(
-            base_step + 2,
-            "branch projectors: "
-            + "; ".join(f"P{i} = {_fmt_mat(pr)}" for i, pr in enumerate(projectors)),
-        )
-        numerators = [
-            partial_trace(star_product(base_mat, pr), cond_dim, keep_dim, "A")
-            for pr in projectors
-        ]
-        step(
-            base_step + 3,
-            "unnormalized conditionals: "
-            + "; ".join(f"N{i} = {_fmt_mat(nm)}" for i, nm in enumerate(numerators)),
-        )
-        conditionals = [nm / np.trace(nm).real for nm in numerators]
-        step(
-            base_step + 4,
-            "conditional densities: "
-            + "; ".join(f"rho{i} = {_fmt_mat(c)}" for i, c in enumerate(conditionals)),
-        )
-        spectra = [np.sort(hermitian_eig(c).eigenvalues) for c in conditionals]
-        step(
-            base_step + 5,
-            "conditional spectra: "
-            + "; ".join(f"B{i} = {_fmt_vec(s)}" for i, s in enumerate(spectra)),
-        )
-        step(
-            base_step + 6,
-            "marginal matrix M = [" + "; ".join(_fmt_vec(s) for s in spectra) + "]",
-        )
-        step(base_step + 7, "end of eigenbranch loop")
-
-    step(12, f"coupling entropy forward = {verdict.s_exo_fwd:.4f}")
-    step(
-        13,
-        f"S(A->B) = {verdict.s_cause_fwd:.4f} + {verdict.s_exo_fwd:.4f} "
-        f"= {verdict.s_forward:.4f}",
-    )
-    step(22, f"coupling entropy backward = {verdict.s_exo_bwd:.4f}")
-    step(
-        23,
-        f"S(A<-B) = {verdict.s_cause_bwd:.4f} + {verdict.s_exo_bwd:.4f} "
-        f"= {verdict.s_backward:.4f}",
-    )
-    cmp_sign = "<" if verdict.s_forward < verdict.s_backward else ">="
-    step(
-        24,
-        f"compare: S(A->B) = {verdict.s_forward:.4f} {cmp_sign} "
-        f"S(A<-B) = {verdict.s_backward:.4f}",
-    )
-    step(25, f"causal direction: {verdict.direction.arrow}")
-
-    out.sort(key=lambda line: int(line.split(":")[0].split()[1]))
-    print("\n".join(out))
+    fwd, bwd = _cause_side(rho, "forward"), _cause_side(rho, "backward")
+    v = _score(fwd, bwd)
+    steps = [
+        f"reduced density of A = {_fmt_mat(fwd.reduced.mat)}",
+        f"reduced density of B = {_fmt_mat(bwd.reduced.mat)}",
+        f"joint reordered to B-first = {_fmt_mat(swap_subsystems(rho.mat, *rho.dims))}",
+        *_branch_steps("A", fwd),
+        f"coupling entropy forward = {v.s_exo_fwd:.4f}",
+        f"S(A->B) = {v.s_cause_fwd:.4f} + {v.s_exo_fwd:.4f} = {v.s_forward:.4f}",
+        *_branch_steps("B", bwd),
+        f"coupling entropy backward = {v.s_exo_bwd:.4f}",
+        f"S(A<-B) = {v.s_cause_bwd:.4f} + {v.s_exo_bwd:.4f} = {v.s_backward:.4f}",
+        f"compare: S(A->B) = {v.s_forward:.4f} {'<' if v.s_forward < v.s_backward else '>='} "
+        f"S(A<-B) = {v.s_backward:.4f}",
+        f"causal direction: {v.direction.arrow}",
+    ]
+    print("\n".join(f"step {n:2d}: {text}" for n, text in enumerate(steps, 1)))
     return 0
 
 

@@ -9,15 +9,13 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
+    EigenConvergenceError,
     EigenDecomposition,
     NotHermitian,
     dagger,
-    frobenius_norm,
     hermitian_eig,
     kron,
-    partial_trace,
     require_finite,
-    swap_subsystems,
 )
 
 DEFAULT_TOL = 1e-9
@@ -118,7 +116,7 @@ def validate_density(
         )
     require_finite(m, "density matrix")
 
-    herm_residual = frobenius_norm(m - dagger(m))
+    herm_residual = float(np.linalg.norm(m - dagger(m)))
     if herm_residual > tol:
         raise NotHermitian(f"hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
     trace = complex(np.trace(m))
@@ -156,7 +154,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     # Idempotent input (a projector) is its own PSD square root.
-    if frobenius_norm(n @ n - n) <= 1e-12 * max(1.0, frobenius_norm(n)):
+    if np.linalg.norm(n @ n - n) <= 1e-12 * max(1.0, np.linalg.norm(n)):
         return n
     eig = hermitian_eig(n)
     if eig.eigenvalues[-1] < -tol:
@@ -166,7 +164,11 @@ def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def star_product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Sandwich m between (sqrt(n) tensor I) factors acting on the first slot."""
+    """Sandwich m between (sqrt(n) tensor I) factors acting on the first slot.
+
+    With n = |v><v| this is the paper's definition of conditioning on |v>;
+    inference computes the same conditionals by _conditional_blocks.
+    """
     m = np.asarray(m, dtype=complex)
     n = np.asarray(n, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or n.ndim != 2 or n.shape[0] != n.shape[1]:
@@ -175,11 +177,75 @@ def star_product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"dimension {n.shape[0]} does not divide {m.shape[0]}"
         )
-    if frobenius_norm(n - dagger(n)) > DEFAULT_TOL * max(1.0, frobenius_norm(n)):
+    if np.linalg.norm(n - dagger(n)) > DEFAULT_TOL * max(1.0, np.linalg.norm(n)):
         raise NotHermitian("second factor of the star product must be Hermitian")
     rest = m.shape[0] // n.shape[0]
     sandwich = kron(_psd_sqrt(n), np.eye(rest, dtype=complex))
     return sandwich @ m @ sandwich
+
+
+def _conditional_blocks(
+    rho_joint: DensityMatrix,
+    kets: np.ndarray,
+    conditioned_side: str,
+    prob_tol: float = PROB_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized conditionals of the kept side, one per column v_i of ``kets``.
+
+    Block i is <v_i| rho |v_i> with bra and ket acting on the conditioned side
+    only: the i-th diagonal block of (V^dagger (x) I) rho (V (x) I), taken by
+    one tensordot (ket side) and one diagonal einsum (bra side). Returns the
+    blocks stacked on axis 0 and their traces, the branch weights.
+
+    Raises ZeroProbabilityCondition when a weight is at most ``prob_tol``.
+    """
+    if len(rho_joint.dims) != 2:
+        raise DimensionMismatch(f"need a bipartite density, got dims {rho_joint.dims}")
+    dim_a, dim_b = rho_joint.dims
+    r = rho_joint.mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    if conditioned_side == "second":
+        r = r.transpose(1, 0, 3, 2)
+    elif conditioned_side != "first":
+        raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
+    if kets.shape[0] != r.shape[0]:
+        raise DimensionMismatch(
+            f"condition ket dimension {kets.shape[0]} != subsystem dimension {r.shape[0]}"
+        )
+    # r[c, k, c', l]: c, c' on the conditioned side, k, l on the kept side
+    half = np.tensordot(r, kets, axes=([2], [0]))
+    blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
+    weights = np.einsum("ikk->i", blocks).real
+    if (weights <= prob_tol).any():
+        raise ZeroProbabilityCondition(
+            f"conditioning outcome has probability {weights.min():.3e} <= {prob_tol:.1e}"
+        )
+    return blocks, weights
+
+
+def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Descending spectra of the normalized blocks, one stacked ``eigvalsh``.
+
+    Applies validate_density's checks to the whole stack: NotHermitian and
+    NotPSD beyond DEFAULT_TOL; eigenvalues are then clipped at zero and each
+    spectrum renormalized to sum to one. Raises EigenConvergenceError when
+    LAPACK fails, as hermitian_eig does.
+    """
+    conditionals = blocks / weights[:, None, None]
+    adjoints = conditionals.conj().swapaxes(1, 2)
+    herm_residual = float(np.linalg.norm(conditionals - adjoints, axis=(1, 2)).max())
+    if herm_residual > DEFAULT_TOL:
+        raise NotHermitian(
+            f"hermiticity residual {herm_residual:.3e} exceeds {DEFAULT_TOL:.1e}"
+        )
+    try:
+        values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[:, ::-1]
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    min_eig = float(values[:, -1].min())
+    if min_eig < -DEFAULT_TOL:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
+    values = np.clip(values, 0.0, None)
+    return values / values.sum(axis=1, keepdims=True)
 
 
 def instance_conditional(
@@ -191,37 +257,18 @@ def instance_conditional(
 ) -> DensityMatrix:
     """Reduced state of one subsystem given a pure-state outcome on the other.
 
-    The conditioned subsystem is brought to the first slot (by a subsystem
-    swap when it is the second), the star product applies the outcome
-    projector there, the first slot is traced out, and the remainder is
-    normalized by its trace.
+    The outcome |v> is applied as a partial inner product on the conditioned
+    side, (<v| (x) I) rho (|v> (x) I), and the result is normalized by its
+    trace. This equals tracing the conditioned side out of the star product
+    of rho with |v><v|.
 
     Raises ZeroProbabilityCondition when the outcome carries no probability
     mass, i.e. the pre-normalization trace is at most ``prob_tol``.
     """
-    if len(rho_joint.dims) != 2:
-        raise DimensionMismatch(f"need a bipartite density, got dims {rho_joint.dims}")
-    dim_a, dim_b = rho_joint.dims
-    if conditioned_side == "first":
-        mat = rho_joint.mat
-        cond_dim, keep_dim = dim_a, dim_b
-    elif conditioned_side == "second":
-        mat = swap_subsystems(rho_joint.mat, dim_a, dim_b)
-        cond_dim, keep_dim = dim_b, dim_a
-    else:
-        raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
-    if condition_ket.dim != cond_dim:
-        raise DimensionMismatch(
-            f"condition ket dimension {condition_ket.dim} != subsystem dimension {cond_dim}"
-        )
-    projector = np.outer(condition_ket.ket, condition_ket.ket.conj())
-    numerator = partial_trace(star_product(mat, projector), cond_dim, keep_dim, "A")
-    weight = float(np.trace(numerator).real)
-    if weight <= prob_tol:
-        raise ZeroProbabilityCondition(
-            f"conditioning outcome has probability {weight:.3e} <= {prob_tol:.1e}"
-        )
-    return validate_density(numerator / weight, (keep_dim,), tol)
+    blocks, weights = _conditional_blocks(
+        rho_joint, condition_ket.ket[:, None], conditioned_side, prob_tol
+    )
+    return validate_density(blocks[0] / weights[0], (blocks.shape[1],), tol)
 
 
 def spin_singlet() -> DensityMatrix:

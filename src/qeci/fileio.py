@@ -9,7 +9,7 @@ import numpy as np
 
 from .causal import JointDistribution
 from .coupling import MarginalSet
-from .density import DensityMatrix, validate_density
+from .density import DEFAULT_TOL, DensityMatrix, validate_density
 
 
 class FileFormatError(ValueError):
@@ -40,7 +40,7 @@ def _entry(cell) -> complex:
     return complex(*cell)
 
 
-def load_density_file(path: str, tol: float = 1e-9) -> DensityMatrix:
+def load_density_file(path: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Parse a density file: {"dims": [...], "matrix": [[[re, im], ...], ...]}.
 
     Validation failures (hermiticity, trace, positivity) propagate as the

@@ -42,17 +42,6 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1] if b.ndim > 1 else 1}"
-        )
-    return a @ b
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
@@ -61,10 +50,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, first factor on the coarse (row-major) index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
@@ -83,8 +68,8 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     require_finite(a)
-    residual = frobenius_norm(a - a.conj().T)
-    if residual > herm_tol * max(frobenius_norm(a), 1.0):
+    residual = np.linalg.norm(a - a.conj().T)
+    if residual > herm_tol * max(np.linalg.norm(a), 1.0):
         raise NotHermitian(f"hermiticity residual {residual:.3e} exceeds {herm_tol:.1e} * norm")
     try:
         values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qeci.causal import (
+    BRANCH_FLOOR,
     DegeneracyWarning,
     Direction,
     JointDistribution,
@@ -14,9 +15,9 @@ from qeci.causal import (
     qeci_infer,
 )
 from qeci.channels import ChannelSpec, bitflip_entangled, qsc_computational, qsc_hadamard
-from qeci.classicalmap import diag_embed
+from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.density import instance_conditional, pure_state, validate_density
-from qeci.linalg import dagger, hermitian_eig, kron, swap_subsystems
+from qeci.linalg import dagger, hermitian_eig, kron, partial_trace, swap_subsystems
 
 from _helpers import (
     random_density,
@@ -199,7 +200,7 @@ def test_joint_distribution_validation():
 
 
 @pytest.mark.parametrize(
-    "call", [qeci_infer, lambda rho: conditional_spectra(rho, "forward")]
+    "call", [qeci_infer, lambda rho: conditional_spectra(rho, "forward"), rotate_to_classical]
 )
 def test_degeneracy_warning_names_the_caller(call):
     with pytest.warns(DegeneracyWarning) as record:
@@ -294,3 +295,22 @@ def test_each_matrix_is_decomposed_once(monkeypatch):
     qeci_infer(rho)
     assert 0 < len(seen) <= 10
     assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (2, 8), (8, 2)])
+@pytest.mark.parametrize(
+    "direction, side, traced", [("forward", "first", "B"), ("backward", "second", "A")]
+)
+def test_stacked_spectra_equal_per_branch_conditionals(dims, direction, side, traced):
+    rng = np.random.default_rng(sum(dims) * 7 + dims[0])
+    rho = random_density(rng, dims)
+    dim = dims[0] if side == "first" else dims[1]
+    reduced = validate_density(partial_trace(rho.mat, *dims, traced), (dim,)).eig
+    per_branch = [
+        instance_conditional(rho, pure_state(ket), side).eig.eigenvalues
+        for value, ket in zip(reduced.eigenvalues, reduced.eigenvectors.T)
+        if value > BRANCH_FLOOR
+    ]
+    stacked = conditional_spectra(rho, direction).rows
+    assert stacked.shape == (dim, dims[1] if side == "first" else dims[0])
+    assert np.abs(stacked - np.array(per_branch)).max() <= 1e-12

@@ -107,6 +107,16 @@ def test_infer_numeric_failure_exits_4(qsc_file, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: numeric failure")
 
 
+def test_infer_stacked_spectra_failure_exits_4(qsc_file, capsys, monkeypatch):
+    # eigh still works, so the failure comes from the conditionals' stacked eigvalsh
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["infer", "--input", qsc_file]) == 4
+    assert capsys.readouterr().err.startswith("error: numeric failure")
+
+
 def test_infer_trace_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "trace.json"
     rho = qsc_computational(0.4, 0.05)
@@ -282,3 +292,37 @@ def test_demo_prints_numbered_trace(capsys):
     assert "1.2573" in lines[12]
     assert "1.4270" in lines[22]
     assert lines[24].endswith("A->B")
+
+
+DEMO_GOLDEN = (
+    "step  1: reduced density of A = [[0.4000, 0.0000]; [0.0000, 0.6000]]\n"
+    "step  2: reduced density of B = [[0.4100, 0.0000]; [0.0000, 0.5900]]\n"
+    "step  3: joint reordered to B-first = [[0.3800, 0.0000, 0.0000, 0.0000]; [0.0000, 0.0300, 0.0000, 0.0000]; [0.0000, 0.0000, 0.0200, 0.0000]; [0.0000, 0.0000, 0.0000, 0.5700]]\n"
+    "step  4: eigendecomposition of reduced A: V = [[1.0000, 0.0000]; [0.0000, 1.0000]], D = diag([0.4000, 0.6000])\n"
+    "step  5: loop over eigenbranches [0.4000, 0.6000]\n"
+    "step  6: branch projectors: P0 = [[1.0000, 0.0000]; [0.0000, 0.0000]]; P1 = [[0.0000, 0.0000]; [0.0000, 1.0000]]\n"
+    "step  7: unnormalized conditionals: N0 = [[0.3800, 0.0000]; [0.0000, 0.0200]]; N1 = [[0.0300, 0.0000]; [0.0000, 0.5700]]\n"
+    "step  8: conditional densities: rho0 = [[0.9500, 0.0000]; [0.0000, 0.0500]]; rho1 = [[0.0500, 0.0000]; [0.0000, 0.9500]]\n"
+    "step  9: conditional spectra: B0 = [0.0500, 0.9500]; B1 = [0.0500, 0.9500]\n"
+    "step 10: marginal matrix M = [[0.0500, 0.9500]; [0.0500, 0.9500]]\n"
+    "step 11: end of eigenbranch loop\n"
+    "step 12: coupling entropy forward = 0.2864\n"
+    "step 13: S(A->B) = 0.9710 + 0.2864 = 1.2573\n"
+    "step 14: eigendecomposition of reduced B: V = [[1.0000, 0.0000]; [0.0000, 1.0000]], D = diag([0.4100, 0.5900])\n"
+    "step 15: loop over eigenbranches [0.4100, 0.5900]\n"
+    "step 16: branch projectors: P0 = [[1.0000, 0.0000]; [0.0000, 0.0000]]; P1 = [[0.0000, 0.0000]; [0.0000, 1.0000]]\n"
+    "step 17: unnormalized conditionals: N0 = [[0.3800, 0.0000]; [0.0000, 0.0300]]; N1 = [[0.0200, 0.0000]; [0.0000, 0.5700]]\n"
+    "step 18: conditional densities: rho0 = [[0.9268, 0.0000]; [0.0000, 0.0732]]; rho1 = [[0.0339, 0.0000]; [0.0000, 0.9661]]\n"
+    "step 19: conditional spectra: B0 = [0.0732, 0.9268]; B1 = [0.0339, 0.9661]\n"
+    "step 20: marginal matrix M = [[0.0732, 0.9268]; [0.0339, 0.9661]]\n"
+    "step 21: end of eigenbranch loop\n"
+    "step 22: coupling entropy backward = 0.4505\n"
+    "step 23: S(A<-B) = 0.9765 + 0.4505 = 1.4270\n"
+    "step 24: compare: S(A->B) = 1.2573 < S(A<-B) = 1.4270\n"
+    "step 25: causal direction: A->B\n"
+)
+
+
+def test_demo_stdout_is_golden(capsys):
+    assert main(["demo"]) == 0
+    assert capsys.readouterr().out == DEMO_GOLDEN

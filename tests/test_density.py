@@ -7,6 +7,8 @@ from qeci.density import (
     NotPSD,
     TraceNotOne,
     ZeroProbabilityCondition,
+    _block_spectra,
+    _conditional_blocks,
     instance_conditional,
     pure_state,
     spin_singlet,
@@ -19,7 +21,7 @@ from qeci.density import (
     y_plus,
     z_plus,
 )
-from qeci.linalg import NotHermitian, dagger, hermitian_eig, partial_trace
+from qeci.linalg import NotHermitian, dagger, hermitian_eig, partial_trace, swap_subsystems
 
 from _helpers import random_density, random_unitary
 
@@ -179,6 +181,46 @@ def test_instance_conditional_zero_probability_branch():
     rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), (2, 2))
     with pytest.raises(ZeroProbabilityCondition):
         instance_conditional(rho, pure_state([0.0, 1.0]), "first")
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_instance_conditional_equals_star_product_route(side):
+    # the star product with |v><v| is the reference definition of conditioning
+    rng = np.random.default_rng(26 if side == "first" else 27)
+    for dim_a, dim_b in [(2, 3), (3, 2), (4, 4), (2, 8), (8, 2)]:
+        rho = random_density(rng, (dim_a, dim_b))
+        if side == "first":
+            mat, cond_dim, keep_dim = rho.mat, dim_a, dim_b
+        else:
+            mat, cond_dim, keep_dim = swap_subsystems(rho.mat, dim_a, dim_b), dim_b, dim_a
+        ket = rng.normal(size=cond_dim) + 1j * rng.normal(size=cond_dim)
+        v = pure_state(ket / np.linalg.norm(ket))
+        projector = np.outer(v.ket, v.ket.conj())
+        numerator = partial_trace(star_product(mat, projector), cond_dim, keep_dim, "A")
+        expected = numerator / np.trace(numerator).real
+        assert np.abs(instance_conditional(rho, v, side).mat - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_conditional_blocks_reject_a_near_zero_branch(side):
+    # branch |1> on the conditioned side carries probability 1e-13 <= PROB_TOL
+    diag = [1.0 - 1e-13, 0.0, 1e-13, 0.0] if side == "first" else [1.0 - 1e-13, 1e-13, 0.0, 0.0]
+    rho = validate_density(np.diag(diag).astype(complex), (2, 2))
+    with pytest.raises(ZeroProbabilityCondition):
+        _conditional_blocks(rho, np.eye(2, dtype=complex), side)
+
+
+def test_block_spectra_check_the_whole_stack():
+    good = np.diag([0.5, 0.5]).astype(complex)
+    skewed = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        _block_spectra(np.stack([good, skewed]), np.ones(2))
+    with pytest.raises(NotPSD):
+        _block_spectra(np.stack([good, np.diag([1.1, -0.1]).astype(complex)]), np.ones(2))
+    # rounding noise below tol is clipped and each spectrum renormalized
+    noisy = np.diag([2.0, -1e-10]).astype(complex)
+    rows = _block_spectra(np.stack([good, noisy]), np.array([1.0, 2.0]))
+    assert np.array_equal(rows, [[0.5, 0.5], [1.0, 0.0]])
 
 
 def test_spin_singlet_marginals_and_purity():

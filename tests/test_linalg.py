@@ -8,34 +8,14 @@ from qeci.linalg import (
     dagger,
     hermitian_eig,
     kron,
-    matmul,
     partial_trace,
     swap_subsystems,
 )
 
 from _helpers import random_hermitian
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET0 = np.array([[1], [0]], dtype=complex)
 KET1 = np.array([[0], [1]], dtype=complex)
-
-
-def test_matmul_identity():
-    x = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.allclose(matmul(np.eye(2), x), x)
-
-
-def test_matmul_pauli_involution():
-    assert np.allclose(matmul(SIGMA_X, SIGMA_X), np.eye(2))
-
-
-def test_matmul_flips_basis_ket():
-    assert np.allclose(matmul(SIGMA_X, KET0), KET1)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_dagger_real_diagonal_fixed_point():
