@@ -53,9 +53,10 @@ class JointDistribution:
         if (t < -1e-12).any():
             raise ValueError(f"joint table has negative entry {t.min():.3e}")
         t = np.clip(t, 0.0, None)
-        if abs(t.sum() - 1.0) > 1e-9:
-            raise ValueError(f"joint table sums to {t.sum()!r}, not 1")
-        t = t.copy()
+        with np.errstate(over="ignore"):  # a table of huge entries sums to inf
+            total = float(t.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"joint table sums to {total!r}, not 1")
         t.setflags(write=False)
         return cls(table=t)
 
@@ -180,8 +181,9 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     p_col = table.sum(axis=0)
     if p_row.max() <= BRANCH_FLOOR or p_col.max() <= BRANCH_FLOOR:
         raise ValueError("degenerate joint table: a marginal carries no mass")
-    fwd_rows = [table[i] / p_row[i] for i in range(table.shape[0]) if p_row[i] > BRANCH_FLOOR]
-    bwd_rows = [table[:, j] / p_col[j] for j in range(table.shape[1]) if p_col[j] > BRANCH_FLOOR]
+    fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
+    fwd_rows = table[fwd] / p_row[fwd, None]
+    bwd_rows = table[:, bwd].T / p_col[bwd, None]
     s_cause_fwd = shannon_entropy(p_row)
     s_cause_bwd = shannon_entropy(p_col)
     s_exo_fwd = greedy_min_entropy_coupling(MarginalSet.from_rows(fwd_rows)).entropy_bits

@@ -39,18 +39,20 @@ class MarginalSet:
         rows = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
         if not rows:
             raise MarginalError("need at least one marginal row")
-        width = max(r.shape[0] for r in rows)
-        padded = np.zeros((len(rows), width), dtype=float)
+        padded = np.zeros((len(rows), max(r.shape[0] for r in rows)))
         for i, r in enumerate(rows):
-            require_finite(r, f"marginal row {i}")
-            if (r < -NEGATIVE_CLAMP).any():
-                raise MarginalError(
-                    f"row {i} has entry {r.min():.3e} below -{NEGATIVE_CLAMP:.1e}"
-                )
-            r = np.clip(r, 0.0, None)
-            if abs(r.sum() - 1.0) > ROW_SUM_TOL:
-                raise MarginalError(f"row {i} sums to {r.sum()!r}, not 1")
             padded[i, : r.shape[0]] = r
+        require_finite(padded, "marginal set")
+        low = padded.min(axis=1, initial=0.0)
+        if (low < -NEGATIVE_CLAMP).any():
+            i = int((low < -NEGATIVE_CLAMP).argmax())
+            raise MarginalError(f"row {i} has entry {low[i]:.3e} below -{NEGATIVE_CLAMP:.1e}")
+        padded = np.clip(padded, 0.0, None)
+        with np.errstate(over="ignore"):  # a row of huge entries sums to inf
+            sums = padded.sum(axis=1)
+        if (abs(sums - 1.0) > ROW_SUM_TOL).any():
+            i = int((abs(sums - 1.0) > ROW_SUM_TOL).argmax())
+            raise MarginalError(f"row {i} sums to {float(sums[i])!r}, not 1")
         padded.setflags(write=False)
         return cls(rows=padded)
 
@@ -61,6 +63,11 @@ class CouplingResult:
     placements: tuple[Placement, ...]
 
 
+def _entropy_bits(masses: np.ndarray) -> float:
+    """Entropy in bits of strictly positive masses; +0.0, not -0.0, for a point mass."""
+    return -float(masses @ np.log2(masses)) + 0.0
+
+
 def shannon_entropy(p) -> float:
     """Entropy of a probability vector in bits, with 0 log 0 = 0."""
     arr = np.asarray(p, dtype=float).reshape(-1)
@@ -69,38 +76,39 @@ def shannon_entropy(p) -> float:
         raise MarginalError(f"negative probability {arr.min():.3e}")
     arr = np.clip(arr, 0.0, None)
     if abs(arr.sum() - 1.0) > 1e-6:
-        raise MarginalError(f"probabilities sum to {arr.sum()!r}, not 1")
-    # adding 0.0 turns the -0.0 of a point mass into +0.0
-    return float(-sum(v * math.log2(v) for v in arr if v > 0.0)) + 0.0
+        raise MarginalError(f"probabilities sum to {float(arr.sum())!r}, not 1")
+    return _entropy_bits(arr[arr > 0.0])
 
 
 def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     """Greedy coupling: repeatedly place the smallest of the rows' current maxima.
 
-    Each round reads r as the minimum over rows of that row's largest
-    remaining entry, records one placement of mass r at the argmax coordinate
-    of every row (lowest index on ties), and subtracts r from those maxima.
-    Rounds stop once r falls to the mass floor; the recorded masses are then
-    renormalized to absorb the floating-point residue.
+    Each round takes every row's argmax over the full row (lowest index on
+    ties) as flat cell indices, reads r as the smallest of those maxima,
+    records one placement of mass r there and subtracts r from them. Rounds
+    stop once r falls to the mass floor; the masses are then renormalized by
+    their sequential sum to absorb the floating-point residue.
     """
     rows = np.array(marginals.rows, dtype=float)
-    nrows = rows.shape[0]
-    row_idx = np.arange(nrows)
-    placements: list[Placement] = []
+    flat = rows.reshape(-1)
+    offsets = np.arange(rows.shape[0]) * rows.shape[1]
+    coords, masses = [], []
     while True:
         argmaxes = rows.argmax(axis=1)
-        r = float(rows[row_idx, argmaxes].min())
+        cells = argmaxes + offsets
+        tops = flat[cells]
+        r = float(tops.min())
         if r <= MASS_FLOOR:
             break
-        placements.append(Placement(tuple(int(j) for j in argmaxes), r))
-        rows[row_idx, argmaxes] -= r
-    total = sum(p.mass for p in placements)
+        flat[cells] = tops - r
+        coords.append(tuple(argmaxes.tolist()))
+        masses.append(r)
+    total = sum(masses)
     if total <= 0.0:
         raise MarginalError("no probability mass to couple")
-    placements = [Placement(p.coords, p.mass / total) for p in placements]
-    # adding 0.0 turns the -0.0 of a single placement into +0.0
-    entropy = -sum(p.mass * math.log2(p.mass) for p in placements) + 0.0
-    return CouplingResult(entropy_bits=float(entropy), placements=tuple(placements))
+    normalized = np.array(masses) / total
+    placements = tuple(map(Placement, coords, normalized.tolist()))
+    return CouplingResult(entropy_bits=_entropy_bits(normalized), placements=placements)
 
 
 def coupling_to_joint_density(
@@ -147,9 +155,6 @@ def bruteforce_coupling_2rows(p, q, grid_steps: int) -> float:
     lo = max(0.0, p0 + q0 - 1.0)
     hi = min(p0, q0)
     ts = np.linspace(lo, hi, grid_steps + 1)
-    masses = np.stack([ts, p0 - ts, q0 - ts, 1.0 - p0 - q0 + ts])
-    masses = np.clip(masses, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(masses > 0.0, masses * np.log2(masses), 0.0)
-    entropies = -terms.sum(axis=0)
-    return float(entropies.min())
+    masses = np.clip(np.stack([ts, p0 - ts, q0 - ts, 1.0 - p0 - q0 + ts]), 0.0, None)
+    logs = np.log2(masses, out=np.zeros_like(masses), where=masses > 0.0)  # 0 log 0 = 0
+    return float(np.min(-(masses * logs).sum(axis=0)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,67 @@ def test_coupling_unnormalized_rows_exit_3(tmp_path, capsys):
     path = tmp_path / "rows.json"
     path.write_text("[[0.5, 0.4], [0.5, 0.5]]", encoding="utf-8")
     assert main(["coupling", "--marginals", str(path)]) == 3
+
+
+COUPLING_GOLDEN = (
+    "mass 0.375 at (0, 0, 0, 3)\n"
+    "mass 0.25 at (1, 1, 1, 2)\n"
+    "mass 0.2 at (2, 2, 0, 1)\n"
+    "mass 0.1 at (1, 0, 1, 0)\n"
+    "mass 0.05 at (2, 2, 1, 2)\n"
+    "mass 0.025 at (1, 0, 0, 3)\n"
+    "coupling entropy (bits): 2.1764\n"
+)
+
+
+def test_coupling_stdout_is_golden(tmp_path, capsys):
+    # ragged rows, with dyadic residuals that tie untouched entries
+    path = tmp_path / "rows.json"
+    path.write_text(
+        "[[0.375, 0.375, 0.25], [0.5, 0.25, 0.25], [0.6, 0.4], [0.1, 0.2, 0.3, 0.4]]",
+        encoding="utf-8",
+    )
+    assert main(["coupling", "--marginals", str(path)]) == 0
+    assert capsys.readouterr().out == COUPLING_GOLDEN
+
+
+def _single_error_line(capsys, argv) -> str:
+    """Run the CLI with warnings as errors; expect exit 3 and one stderr line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "np.float64" not in err
+    return err
+
+
+def test_coupling_row_sum_message_prints_plain_float(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text("[[0.5, 0.5], [0.6, 0.6]]", encoding="utf-8")
+    err = _single_error_line(capsys, ["coupling", "--marginals", str(path)])
+    assert err == "error: MarginalError: row 1 sums to 1.2, not 1\n"
+
+
+def test_embed_table_sum_message_prints_plain_float(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("[[0.5, 0.25], [0.2, 0.0]]", encoding="utf-8")
+    err = _single_error_line(capsys, ["map-classical", "--input", str(path), "--mode", "embed"])
+    assert err == "error: ValueError: joint table sums to 0.95, not 1\n"
+
+
+def test_coupling_overflowing_row_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text("[[1e308, 1e308], [0.5, 0.5]]", encoding="utf-8")
+    err = _single_error_line(capsys, ["coupling", "--marginals", str(path)])
+    assert err == "error: MarginalError: row 0 sums to inf, not 1\n"
+
+
+def test_embed_overflowing_table_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("[[1e308, 1e308], [0.5, 0.5]]", encoding="utf-8")
+    err = _single_error_line(capsys, ["map-classical", "--input", str(path), "--mode", "embed"])
+    assert err == "error: ValueError: joint table sums to inf, not 1\n"
 
 
 def test_map_classical_embed_then_infer_round_trip(tmp_path, capsys):

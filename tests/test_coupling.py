@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeci.coupling import (
     MarginalError,
@@ -175,3 +177,76 @@ def test_coupling_to_joint_entropy_and_marginals_match():
     # each subsystem's reduced density carries that marginal on its basis
     reduced = partial_trace(rho.mat, 2, 2, "B")
     assert np.allclose(np.diag(reduced).real, rows[0], atol=1e-9)
+
+
+def _reference_greedy(rows: np.ndarray) -> tuple[list[tuple[int, ...]], list[float], float]:
+    """Plain greedy loop: per round, each row's full-row argmax (lowest index on
+    ties) and one scalar subtraction per row; masses renormalized by their
+    sequential sum."""
+    rows = np.array(rows, dtype=float)
+    coords, masses = [], []
+    while True:
+        argmaxes = [int(j) for j in rows.argmax(axis=1)]
+        r = min(float(rows[i, j]) for i, j in enumerate(argmaxes))
+        if r <= 1e-12:
+            break
+        coords.append(tuple(argmaxes))
+        masses.append(r)
+        for i, j in enumerate(argmaxes):
+            rows[i, j] -= r
+    total = sum(masses)
+    masses = [m / total for m in masses]
+    return coords, masses, -sum(m * math.log2(m) for m in masses)
+
+
+def _dirichlet_rows(seed: int, shape) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.dirichlet(np.ones(shape[1]), size=shape[0])
+
+
+REFERENCE_SETS = {
+    **{f"dirichlet_{m}x{n}": _dirichlet_rows(41 + k, (m, n))
+       for k, (m, n) in enumerate([(64, 64), (32, 128), (128, 32)])},
+    "ragged": [np.random.default_rng(44).dirichlet(np.ones(w)) for w in (3, 7, 5, 2, 6)],
+    # after the first round row 1 holds 0.125 beside two untouched 0.25 entries
+    "dyadic_ties": [[0.375, 0.375, 0.25], [0.5, 0.25, 0.25]],
+    "dyadic_ragged": [[0.375, 0.375, 0.25], [0.5, 0.25, 0.25], [0.5, 0.5], [0.25] * 4],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
+def test_greedy_matches_reference_loop(name):
+    marginals = MarginalSet.from_rows(REFERENCE_SETS[name])
+    coords, masses, entropy = _reference_greedy(marginals.rows)
+    result = greedy_min_entropy_coupling(marginals)
+    assert [p.coords for p in result.placements] == coords
+    assert [p.mass for p in result.placements] == masses
+    assert all(type(j) is int for p in result.placements for j in p.coords)
+    assert abs(result.entropy_bits - entropy) <= 1e-12
+
+
+# a row is either integer weights over their sum, or a cut of [0, 16] into
+# dyadic sixteenths, whose residuals tie untouched entries exactly
+_weight_rows = st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any).map(
+    lambda w: [v / sum(w) for v in w]
+)
+_dyadic_rows = st.lists(st.integers(0, 16), max_size=4).map(
+    lambda cuts: [b / 16 - a / 16 for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 16])]
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(_weight_rows, _dyadic_rows), min_size=1, max_size=4))
+def test_greedy_properties_on_small_ragged_sets(rows):
+    marginals = MarginalSet.from_rows(rows)
+    result = greedy_min_entropy_coupling(marginals)
+    masses = np.array([p.mass for p in result.placements])
+    assert (masses > 0.0).all()
+    assert abs(masses.sum() - 1.0) <= 1e-12
+    for k, row in enumerate(marginals.rows):
+        recovered = np.zeros_like(row)
+        for coords, mass in result.placements:
+            recovered[coords[k]] += mass
+        assert np.allclose(recovered, row, rtol=0.0, atol=1e-9)
+    entropies = [shannon_entropy(r) for r in marginals.rows]
+    assert max(entropies) - 1e-12 <= result.entropy_bits <= sum(entropies) + 1e-12
