@@ -100,14 +100,19 @@ class CauseSide:
 def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatrix:
     """Validated reduced density of side ``label`` ("A" or "B").
 
-    Warns with DegeneracyWarning, at ``stacklevel`` counted from this
-    function, when its eigenbasis is not unique.
+    Built and validated (one eigendecomposition) on the first call for a
+    joint, then read from the joint's memo. Warns with DegeneracyWarning on
+    every call, at ``stacklevel`` counted from this function, when its
+    eigenbasis is not unique.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    dim_a, dim_b = rho_ab.dims
-    traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
-    reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
+    reduced = rho_ab._reduced_memo.get(label)
+    if reduced is None:
+        dim_a, dim_b = rho_ab.dims
+        traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
+        reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
+        rho_ab._reduced_memo[label] = reduced
     if (-np.diff(reduced.eig.eigenvalues) < DEGENERACY_GAP).any():
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "

@@ -10,6 +10,8 @@ import numpy as np
 from .density import DensityMatrix, validate_density
 
 PAIR_NORM_TOL = 1e-9
+# columns |+> and |->
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -88,16 +90,23 @@ def qsc_hadamard(q: float, p: float) -> DensityMatrix:
     """Phase-flip variant of the symmetric channel, correlated in the Hadamard basis."""
     q = _check_prob(q, "q")
     p = _check_prob(p, "p")
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-    states = (plus, minus)
-    w = _flip_weights(q, p)
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            ket = np.kron(states[i], states[j])
-            out += w[i, j] * np.outer(ket, ket.conj())
-    return validate_density(out, (2, 2))
+    # column 2i + j is the ket |s_i s_j>, s = (|+>, |->)
+    kets = np.kron(_HADAMARD, _HADAMARD)
+    w = _flip_weights(q, p).reshape(-1)
+    return validate_density((kets * w) @ kets.T, (2, 2))
+
+
+def _depolarized(gamma: float, lam: float, p: float) -> np.ndarray:
+    """The matrix of depolarizing_component, unvalidated."""
+    gamma, lam = _check_amplitude_pair(gamma, lam)
+    p = _check_prob(p, "p")
+    gg, gl, ll = gamma * gamma, gamma * lam, lam * lam
+    # one ket per row: the product state, then its three Pauli-flipped images
+    kets = np.array(
+        [[gg, gl, gl, ll], [gg, -gl, gl, -ll], [gl, gg, ll, gl], [-gl, gg, -ll, gl]]
+    )
+    weights = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
+    return (kets.T * weights) @ kets
 
 
 def depolarizing_component(gamma: float, lam: float, p: float) -> DensityMatrix:
@@ -106,28 +115,17 @@ def depolarizing_component(gamma: float, lam: float, p: float) -> DensityMatrix:
     Mixes the untouched state with its phase-flipped, bit-flipped, and
     bit-phase-flipped images at weights (1-p, p/3, p/3, p/3).
     """
-    gamma, lam = _check_amplitude_pair(gamma, lam)
-    p = _check_prob(p, "p")
-    gl = gamma * lam
-    kets = [
-        np.array([gamma * gamma, gl, gl, lam * lam], dtype=complex),
-        np.array([gamma * gamma, -gl, gl, -lam * lam], dtype=complex),
-        np.array([gl, gamma * gamma, lam * lam, gl], dtype=complex),
-        np.array([-gl, gamma * gamma, -lam * lam, gl], dtype=complex),
-    ]
-    weights = [1.0 - p, p / 3.0, p / 3.0, p / 3.0]
-    out = np.zeros((4, 4), dtype=complex)
-    for weight, ket in zip(weights, kets):
-        out += weight * np.outer(ket, ket.conj())
-    return validate_density(out, (2, 2))
+    return validate_density(_depolarized(gamma, lam, p), (2, 2))
 
 
 def depolarizing_mixture(q: float, c1, c2, p: float) -> DensityMatrix:
-    """Convex mixture of two depolarizing components sharing the error rate p."""
+    """Convex mixture of two depolarizing components sharing the error rate p.
+
+    Only the mixture is validated, not each component.
+    """
     q = _check_prob(q, "q")
-    rho1 = depolarizing_component(c1[0], c1[1], p)
-    rho2 = depolarizing_component(c2[0], c2[1], p)
-    return validate_density(q * rho1.mat + (1.0 - q) * rho2.mat, (2, 2))
+    mixture = q * _depolarized(c1[0], c1[1], p) + (1.0 - q) * _depolarized(c2[0], c2[1], p)
+    return validate_density(mixture, (2, 2))
 
 
 def bitflip_entangled(p: float) -> DensityMatrix:

@@ -26,6 +26,8 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     Conjugates by the tensor product of the reduced densities' eigenvector
     matrices and takes the real diagonal, clamped to nonnegative and
     renormalized. Rows and columns follow descending marginal eigenvalues.
+    After qeci_infer on the same joint, both reduced densities come from the
+    joint's memo, so nothing is decomposed again.
     """
     # stacklevel 3 names the line that called rotate_to_classical
     vectors_a = _reduced(rho_ab, "A", stacklevel=3).eig.eigenvectors

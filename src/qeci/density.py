@@ -41,12 +41,15 @@ class DensityMatrix:
 
     ``eig`` is the eigendecomposition of ``mat`` (of its Hermitian part) that
     validate_density took to check positivity, so entropy and branch code
-    need not decompose the matrix again.
+    need not decompose the matrix again. ``_reduced_memo`` holds the validated
+    reduced densities of a bipartite ``mat`` by side ("A" or "B") once
+    causal._reduced has built them; ``mat`` is read-only, so they stay valid.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
     eig: EigenDecomposition = field(repr=False, compare=False)
+    _reduced_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -119,11 +122,13 @@ def validate_density(
     herm_residual = float(np.linalg.norm(m - dagger(m)))
     if herm_residual > tol:
         raise NotHermitian(f"hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
-    trace = complex(np.trace(m))
+    # einsum, unlike np.trace, sums huge diagonals to inf without a RuntimeWarning
+    trace = complex(np.einsum("ii", m))
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
 
-    eig = hermitian_eig(0.5 * (m + dagger(m)))
+    # hermitian_eig averages out the anti-Hermitian part bounded above
+    eig = hermitian_eig(m, herm_tol=tol)
     min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
     if min_eig < -tol:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")

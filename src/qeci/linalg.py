@@ -68,11 +68,15 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     require_finite(a)
-    residual = np.linalg.norm(a - a.conj().T)
-    if residual > herm_tol * max(np.linalg.norm(a), 1.0):
+    adjoint = a.conj().T
+    residual = np.linalg.norm(a - adjoint)
+    # the bound is herm_tol * max(norm(a), 1); norm(a), which overflows on huge
+    # entries, matters only once the residual exceeds herm_tol
+    if residual > herm_tol and residual > herm_tol * np.linalg.norm(a):
         raise NotHermitian(f"hermiticity residual {residual:.3e} exceeds {herm_tol:.1e} * norm")
     try:
-        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+        # halving before adding cannot overflow and gives 0.5 * (a + adjoint) exactly
+        values, vectors = np.linalg.eigh(0.5 * a + 0.5 * adjoint)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
     values = values[::-1].copy()

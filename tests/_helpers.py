@@ -67,3 +67,43 @@ def random_nondegenerate_table(
         col = np.sort(t.sum(axis=0))
         if np.diff(row).min() >= gap and np.diff(col).min() >= gap:
             return t
+
+
+# Reference channel joints: one outer product per ket, summed in order, as the
+# paper writes the mixtures. The channels module builds the same matrices with
+# one matrix product; tests compare the two.
+
+
+def reference_qsc_hadamard(q: float, p: float) -> np.ndarray:
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
+    states = (plus, minus)
+    w = np.array([[q * (1.0 - p), q * p], [(1.0 - q) * p, (1.0 - q) * (1.0 - p)]])
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            ket = np.kron(states[i], states[j])
+            out += w[i, j] * np.outer(ket, ket.conj())
+    return out
+
+
+def reference_depolarizing_component(gamma: float, lam: float, p: float) -> np.ndarray:
+    gl = gamma * lam
+    kets = [
+        np.array([gamma * gamma, gl, gl, lam * lam], dtype=complex),
+        np.array([gamma * gamma, -gl, gl, -lam * lam], dtype=complex),
+        np.array([gl, gamma * gamma, lam * lam, gl], dtype=complex),
+        np.array([-gl, gamma * gamma, -lam * lam, gl], dtype=complex),
+    ]
+    weights = [1.0 - p, p / 3.0, p / 3.0, p / 3.0]
+    out = np.zeros((4, 4), dtype=complex)
+    for weight, ket in zip(weights, kets):
+        out += weight * np.outer(ket, ket.conj())
+    return out
+
+
+def reference_depolarizing_mixture(q: float, c1, c2, p: float) -> np.ndarray:
+    return (
+        q * reference_depolarizing_component(c1[0], c1[1], p)
+        + (1.0 - q) * reference_depolarizing_component(c2[0], c2[1], p)
+    )

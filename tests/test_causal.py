@@ -14,7 +14,13 @@ from qeci.causal import (
     conditional_spectra,
     qeci_infer,
 )
-from qeci.channels import ChannelSpec, bitflip_entangled, qsc_computational, qsc_hadamard
+from qeci.channels import (
+    ChannelSpec,
+    bitflip_entangled,
+    depolarizing_mixture,
+    qsc_computational,
+    qsc_hadamard,
+)
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.density import instance_conditional, pure_state, validate_density
 from qeci.linalg import dagger, hermitian_eig, kron, partial_trace, swap_subsystems
@@ -280,8 +286,8 @@ def test_qeci_infer_agrees_with_reference_on_channel_sweeps(kind):
             _assert_agrees(spec.joint(round(0.05 * k, 2)))
 
 
-def test_each_matrix_is_decomposed_once(monkeypatch):
-    rho = qsc_computational(0.4, 0.05)
+def _record_eig_inputs(monkeypatch) -> list:
+    """From now on, append (shape, bytes) of each matrix qeci hands hermitian_eig."""
     seen = []
 
     def counting(a, *args, **kwargs):
@@ -292,9 +298,45 @@ def test_each_matrix_is_decomposed_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
             monkeypatch.setattr(module, "hermitian_eig", counting)
+    return seen
+
+
+def test_each_matrix_is_decomposed_once(monkeypatch):
+    rho = qsc_computational(0.4, 0.05)
+    seen = _record_eig_inputs(monkeypatch)
     qeci_infer(rho)
     assert 0 < len(seen) <= 10
     assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 2)])
+def test_rotate_after_infer_reuses_the_reduced_densities(monkeypatch, dims):
+    rng = np.random.default_rng(31 + sum(dims))
+    rho = random_nondegenerate_density(rng, dims)
+    fresh = validate_density(rho.mat, dims)
+    qeci_infer(rho)
+    seen = _record_eig_inputs(monkeypatch)
+    table = rotate_to_classical(rho)
+    assert seen == []
+    assert np.array_equal(rotate_to_classical(fresh).table, table.table)
+    assert len(seen) == 2
+
+
+def test_depolarizing_mixture_is_decomposed_once(monkeypatch):
+    seen = _record_eig_inputs(monkeypatch)
+    depolarizing_mixture(0.4, (0.6, 0.8), (1 / math.sqrt(2), 1 / math.sqrt(2)), 0.3)
+    assert len(seen) == 1
+
+
+def test_reused_reduced_density_still_warns_at_the_caller():
+    # p = 3/4 twirls the second qubit: side B is maximally mixed
+    rho = depolarizing_mixture(0.4, (0.6, 0.8), (1 / math.sqrt(2), 1 / math.sqrt(2)), 0.75)
+    with pytest.warns(DegeneracyWarning) as record:
+        qeci_infer(rho)
+    assert record[0].filename == __file__
+    with pytest.warns(DegeneracyWarning, match="side B") as record:
+        rotate_to_classical(rho)
+    assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (2, 8), (8, 2)])

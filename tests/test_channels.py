@@ -16,6 +16,12 @@ from qeci.channels import (
 from qeci.density import validate_density, von_neumann_entropy
 from qeci.linalg import hermitian_eig, partial_trace
 
+from _helpers import (
+    reference_depolarizing_component,
+    reference_depolarizing_mixture,
+    reference_qsc_hadamard,
+)
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -110,6 +116,21 @@ def test_depolarizing_mixture_forward_delta_positive_on_grid():
             depolarizing_mixture(0.4, (0.6, 0.8), (INV_SQRT2, INV_SQRT2), p)
         )
         assert verdict.s_backward - verdict.s_forward > 0
+
+
+@pytest.mark.parametrize("p", [k / 20 for k in range(21)])
+def test_channel_joints_match_per_ket_reference(p):
+    amplitudes = ((0.6, 0.8), (INV_SQRT2, INV_SQRT2))
+    pairs = [
+        (qsc_hadamard(0.4, p), reference_qsc_hadamard(0.4, p)),
+        (depolarizing_component(0.6, 0.8, p), reference_depolarizing_component(0.6, 0.8, p)),
+        (depolarizing_component(INV_SQRT2, INV_SQRT2, p),
+         reference_depolarizing_component(INV_SQRT2, INV_SQRT2, p)),
+        (depolarizing_mixture(0.4, *amplitudes, p),
+         reference_depolarizing_mixture(0.4, *amplitudes, p)),
+    ]
+    for rho, reference in pairs:
+        assert np.abs(rho.mat - reference).max() <= 1e-15
 
 
 def test_bitflip_entangled_noiseless():

@@ -307,6 +307,26 @@ def test_embed_overflowing_table_is_one_error_line(tmp_path, capsys):
     assert err == "error: ValueError: joint table sums to inf, not 1\n"
 
 
+def _matrix_payload(mat) -> list:
+    return [[[c.real, c.imag] for c in row] for row in mat]
+
+
+def test_infer_overflowing_trace_is_one_error_line(tmp_path, capsys):
+    huge = _matrix_payload(np.diag([1e308] * 4).astype(complex))
+    path = _write_density(tmp_path, lambda payload: payload.update(matrix=huge))
+    err = _single_error_line(capsys, ["infer", "--input", path])
+    assert err == "error: TraceNotOne: trace residual inf exceeds 1.0e-09\n"
+
+
+def test_infer_huge_hermitian_pair_is_not_psd(tmp_path, capsys):
+    # eigenvalues +-1e308: finite, Hermitian, unit trace, not positive
+    mat = np.diag([0.25] * 4).astype(complex)
+    mat[0, 1], mat[1, 0] = 1e308j, -1e308j
+    path = _write_density(tmp_path, lambda payload: payload.update(matrix=_matrix_payload(mat)))
+    err = _single_error_line(capsys, ["infer", "--input", path])
+    assert err == "error: NotPSD: minimum eigenvalue -1.000e+308 below -1.0e-09\n"
+
+
 def test_map_classical_embed_then_infer_round_trip(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(json.dumps([[1 / 16, 3 / 16], [5 / 16, 7 / 16]]), encoding="utf-8")
@@ -388,3 +408,128 @@ DEMO_GOLDEN = (
 def test_demo_stdout_is_golden(capsys):
     assert main(["demo"]) == 0
     assert capsys.readouterr().out == DEMO_GOLDEN
+
+
+# `qeci sweep --q 0.4 --p-start 0.05 --p-end 0.95 --steps 19` per channel, with
+# the README amplitudes (1/sqrt(2) in full) for the depolarizing mixture
+SWEEP_GOLDEN = {
+    "qsc": """\
+p,s_forward,s_backward,delta,direction
+0.05,1.25734755157,1.42703254259,0.169684991018,A->B
+0.1,1.43994618804,1.7158612599,0.275915071857,A->B
+0.15,1.58079089917,1.93525924216,0.354468342985,A->B
+0.2,1.69287868934,2.10721945946,0.414340770119,A->B
+0.25,1.78222871891,2.24241369187,0.460184972954,A->B
+0.3,1.85224149369,2.3470971551,0.494855661413,A->B
+0.35,1.90501864983,2.4252488452,0.520230195372,A->B
+0.4,1.94190118891,2.47946383836,0.537562649447,A->B
+0.45,1.96372504844,2.32841867142,0.364693622974,A->B
+0.5,1.97095059445,1.97095059445,2.22044604925e-16,Tie
+0.55,1.96372504844,2.32841867142,0.364693622974,A->B
+0.6,1.94190118891,2.47946383836,0.537562649447,A->B
+0.65,1.90501864983,2.4252488452,0.520230195372,A->B
+0.7,1.85224149369,2.3470971551,0.494855661413,A->B
+0.75,1.78222871891,2.24241369187,0.460184972954,A->B
+0.8,1.69287868934,2.10721945946,0.414340770119,A->B
+0.85,1.58079089917,1.93525924216,0.354468342985,A->B
+0.9,1.43994618804,1.7158612599,0.275915071857,A->B
+0.95,1.25734755157,1.42703254259,0.169684991018,A->B
+""",
+    "gqsc": """\
+p,s_forward,s_backward,delta,direction
+0.05,1.25734755157,1.42703254259,0.169684991018,A->B
+0.1,1.43994618804,1.7158612599,0.275915071857,A->B
+0.15,1.58079089917,1.93525924216,0.354468342985,A->B
+0.2,1.69287868934,2.10721945946,0.414340770119,A->B
+0.25,1.78222871891,2.24241369187,0.460184972954,A->B
+0.3,1.85224149369,2.3470971551,0.494855661413,A->B
+0.35,1.90501864983,2.4252488452,0.520230195372,A->B
+0.4,1.94190118891,2.47946383836,0.537562649447,A->B
+0.45,1.96372504844,2.32841867142,0.364693622974,A->B
+0.5,1.97095059445,1.97095059445,0,Tie
+0.55,1.96372504844,2.32841867142,0.364693622974,A->B
+0.6,1.94190118891,2.47946383836,0.537562649447,A->B
+0.65,1.90501864983,2.4252488452,0.520230195372,A->B
+0.7,1.85224149369,2.3470971551,0.494855661413,A->B
+0.75,1.78222871891,2.24241369187,0.460184972954,A->B
+0.8,1.69287868934,2.10721945946,0.414340770119,A->B
+0.85,1.58079089917,1.93525924216,0.354468342985,A->B
+0.9,1.43994618804,1.7158612599,0.275915071857,A->B
+0.95,1.25734755157,1.42703254259,0.169684991018,A->B
+""",
+    "bitflip": """\
+p,s_forward,s_backward,delta,direction
+0.05,1.28639695712,1.28639695712,0,Tie
+0.1,1.46899559359,1.46899559359,0,Tie
+0.15,1.60984030472,1.60984030472,0,Tie
+0.2,1.72192809489,1.72192809489,0,Tie
+0.25,1.81127812446,1.81127812446,0,Tie
+0.3,1.88129089923,1.88129089923,0,Tie
+0.35,1.93406805538,1.93406805538,0,Tie
+0.4,1.97095059445,1.97095059445,0,Tie
+0.45,1.99277445399,1.99277445399,0,Tie
+0.5,2,2,0,Tie
+0.55,1.99277445399,1.99277445399,0,Tie
+0.6,1.97095059445,1.97095059445,0,Tie
+0.65,1.93406805538,1.93406805538,0,Tie
+0.7,1.88129089923,1.88129089923,0,Tie
+0.75,1.81127812446,1.81127812446,0,Tie
+0.8,1.72192809489,1.72192809489,0,Tie
+0.85,1.60984030472,1.60984030472,0,Tie
+0.9,1.46899559359,1.46899559359,0,Tie
+0.95,1.28639695712,1.28639695712,0,Tie
+""",
+    "depolarizing": """\
+p,s_forward,s_backward,delta,direction
+0.05,0.276319562407,0.277630866041,0.00131130363428,A->B
+0.1,0.413123652638,0.413876104613,0.000752451974938,A->B
+0.15,0.525159714472,0.525674404772,0.000514690299917,A->B
+0.2,0.620036342674,0.620417649939,0.000381307265062,A->B
+0.25,0.701489585796,0.701784501131,0.00029491533544,A->B
+0.3,0.771734148475,0.771967882351,0.000233733875788,A->B
+0.35,0.832221982482,0.832409618513,0.000187636030395,A->B
+0.4,0.883964837947,0.884116083288,0.000151245341635,A->B
+0.45,0.927695027285,0.927816446972,0.000121419687181,A->B
+0.5,0.963954342534,0.964050519325,9.61767902294e-05,A->B
+0.55,0.993146892678,0.99322106949,7.41768119134e-05,A->B
+0.6,1.01557206792,1.01562651152,5.4443601146e-05,A->B
+0.65,1.03144569468,1.03148188087,3.61861856408e-05,A->B
+0.7,1.04091366908,1.0409322844,1.8615319052e-05,A->B
+0.75,1.04406044183,1.04406044183,-4.4408920985e-16,Tie
+0.8,1.04091366908,1.0409322844,1.86153190471e-05,A->B
+0.85,1.03144569468,1.03148188087,3.61861856391e-05,A->B
+0.9,1.01557206792,1.01562651152,5.44436011458e-05,A->B
+0.95,0.993146892678,0.99322106949,7.41768119124e-05,A->B
+""",
+}
+SWEEP_GRID = [line.split(",")[0] for line in SWEEP_GOLDEN["qsc"].splitlines()[1:]]
+# (p, side) of each degeneracy warning line, in the order printed
+SWEEP_WARNINGS = {
+    "qsc": [("0.5", "B")],
+    "gqsc": [("0.5", "B")],
+    "bitflip": [(p, side) for p in SWEEP_GRID for side in "AB"],
+    "depolarizing": [("0.75", "B")],
+}
+
+
+@pytest.mark.parametrize("channel", list(SWEEP_GOLDEN))
+def test_sweep_output_is_golden(channel, capsys):
+    argv = ["sweep", "--channel", channel, "--q", "0.4",
+            "--p-start", "0.05", "--p-end", "0.95", "--steps", "19"]
+    if channel == "depolarizing":
+        argv += ["--gamma1", "0.6", "--lambda1", "0.8",
+                 "--gamma2", "0.7071067811865476", "--lambda2", "0.7071067811865476"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    got = [line.split(",") for line in captured.out.splitlines()]
+    want = [line.split(",") for line in SWEEP_GOLDEN[channel].splitlines()]
+    assert len(got) == len(want) and got[0] == want[0]
+    for row, golden in zip(got[1:], want[1:]):
+        # p, both scores and the direction byte for byte; delta to rounding
+        assert row[:3] + row[4:] == golden[:3] + golden[4:]
+        assert abs(float(row[3]) - float(golden[3])) <= 1e-12
+    assert captured.err == "".join(
+        f"warning: p={p}: reduced density of side {side} has near-degenerate "
+        "eigenvalues; the conditioning eigenbasis is not unique\n"
+        for p, side in SWEEP_WARNINGS[channel]
+    )
