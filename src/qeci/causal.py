@@ -52,7 +52,7 @@ class JointDistribution:
         require_finite(t, "joint table")
         if (t < -1e-12).any():
             raise ValueError(f"joint table has negative entry {t.min():.3e}")
-        t = np.clip(t, 0.0, None)
+        t = np.maximum(t, 0.0)
         with np.errstate(over="ignore"):  # a table of huge entries sums to inf
             total = float(t.sum())
         if abs(total - 1.0) > 1e-9:
@@ -113,7 +113,8 @@ def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatri
         traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
         reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
         rho_ab._reduced_memo[label] = reduced
-    if (-np.diff(reduced.eig.eigenvalues) < DEGENERACY_GAP).any():
+    values = reduced.eig.eigenvalues
+    if (values[:-1] - values[1:] < DEGENERACY_GAP).any():
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "
             "the conditioning eigenbasis is not unique",

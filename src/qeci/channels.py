@@ -12,6 +12,8 @@ from .density import DensityMatrix, validate_density
 PAIR_NORM_TOL = 1e-9
 # columns |+> and |->
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# column 2i + j is the ket |s_i s_j>, s = (|+>, |->)
+_HADAMARD_PAIRS = np.kron(_HADAMARD, _HADAMARD)
 
 
 def _check_prob(value: float, name: str) -> float:
@@ -90,10 +92,8 @@ def qsc_hadamard(q: float, p: float) -> DensityMatrix:
     """Phase-flip variant of the symmetric channel, correlated in the Hadamard basis."""
     q = _check_prob(q, "q")
     p = _check_prob(p, "p")
-    # column 2i + j is the ket |s_i s_j>, s = (|+>, |->)
-    kets = np.kron(_HADAMARD, _HADAMARD)
     w = _flip_weights(q, p).reshape(-1)
-    return validate_density((kets * w) @ kets.T, (2, 2))
+    return validate_density((_HADAMARD_PAIRS * w) @ _HADAMARD_PAIRS.T, (2, 2))
 
 
 def _depolarized(gamma: float, lam: float, p: float) -> np.ndarray:

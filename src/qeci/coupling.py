@@ -47,7 +47,7 @@ class MarginalSet:
         if (low < -NEGATIVE_CLAMP).any():
             i = int((low < -NEGATIVE_CLAMP).argmax())
             raise MarginalError(f"row {i} has entry {low[i]:.3e} below -{NEGATIVE_CLAMP:.1e}")
-        padded = np.clip(padded, 0.0, None)
+        padded = np.maximum(padded, 0.0)
         with np.errstate(over="ignore"):  # a row of huge entries sums to inf
             sums = padded.sum(axis=1)
         if (abs(sums - 1.0) > ROW_SUM_TOL).any():
@@ -72,11 +72,13 @@ def shannon_entropy(p) -> float:
     """Entropy of a probability vector in bits, with 0 log 0 = 0."""
     arr = np.asarray(p, dtype=float).reshape(-1)
     require_finite(arr, "probability vector")
-    if (arr < -NEGATIVE_CLAMP).any():
-        raise MarginalError(f"negative probability {arr.min():.3e}")
-    arr = np.clip(arr, 0.0, None)
-    if abs(arr.sum() - 1.0) > 1e-6:
-        raise MarginalError(f"probabilities sum to {float(arr.sum())!r}, not 1")
+    low = arr.min(initial=0.0)
+    if low < -NEGATIVE_CLAMP:
+        raise MarginalError(f"negative probability {low:.3e}")
+    arr = np.maximum(arr, 0.0)
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise MarginalError(f"probabilities sum to {total!r}, not 1")
     return _entropy_bits(arr[arr > 0.0])
 
 
@@ -89,7 +91,7 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     stop once r falls to the mass floor; the masses are then renormalized by
     their sequential sum to absorb the floating-point residue.
     """
-    rows = np.array(marginals.rows, dtype=float)
+    rows = np.array(marginals.rows, dtype=float, order="C")  # flat must view rows
     flat = rows.reshape(-1)
     offsets = np.arange(rows.shape[0]) * rows.shape[1]
     coords, masses = [], []
@@ -155,6 +157,6 @@ def bruteforce_coupling_2rows(p, q, grid_steps: int) -> float:
     lo = max(0.0, p0 + q0 - 1.0)
     hi = min(p0, q0)
     ts = np.linspace(lo, hi, grid_steps + 1)
-    masses = np.clip(np.stack([ts, p0 - ts, q0 - ts, 1.0 - p0 - q0 + ts]), 0.0, None)
+    masses = np.maximum(np.stack([ts, p0 - ts, q0 - ts, 1.0 - p0 - q0 + ts]), 0.0)
     logs = np.log2(masses, out=np.zeros_like(masses), where=masses > 0.0)  # 0 log 0 = 0
     return float(np.min(-(masses * logs).sum(axis=0)))

@@ -119,7 +119,8 @@ def validate_density(
         )
     require_finite(m, "density matrix")
 
-    herm_residual = float(np.linalg.norm(m - dagger(m)))
+    with np.errstate(over="ignore"):  # entries near 1e308 overflow m - m^dagger to inf
+        herm_residual = float(np.linalg.norm(m - dagger(m)))
     if herm_residual > tol:
         raise NotHermitian(f"hermiticity residual {herm_residual:.3e} exceeds {tol:.1e}")
     # einsum, unlike np.trace, sums huge diagonals to inf without a RuntimeWarning
@@ -132,7 +133,7 @@ def validate_density(
     min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
     if min_eig < -tol:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
-    values = np.clip(eig.eigenvalues, 0.0, None)
+    values = np.maximum(eig.eigenvalues, 0.0)
     scale = 1.0
     if min_eig < 0.0:
         m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
@@ -141,7 +142,7 @@ def validate_density(
         # accepted within tol; hand downstream code an exactly unit-trace matrix
         scale = trace.real
 
-    m = np.array(m / scale, dtype=complex)
+    m = m / scale  # a new array, so the caller's matrix is never frozen
     m.setflags(write=False)
     values = values / scale
     values.setflags(write=False)
@@ -164,7 +165,7 @@ def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     eig = hermitian_eig(n)
     if eig.eigenvalues[-1] < -tol:
         raise NotPSD(f"minimum eigenvalue {eig.eigenvalues[-1]:.3e} below -{tol:.1e}")
-    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
     return (eig.eigenvectors * roots) @ dagger(eig.eigenvectors)
 
 
@@ -199,7 +200,7 @@ def _conditional_blocks(
 
     Block i is <v_i| rho |v_i> with bra and ket acting on the conditioned side
     only: the i-th diagonal block of (V^dagger (x) I) rho (V (x) I), taken by
-    one tensordot (ket side) and one diagonal einsum (bra side). Returns the
+    one matmul (ket side) and one diagonal einsum (bra side). Returns the
     blocks stacked on axis 0 and their traces, the branch weights.
 
     Raises ZeroProbabilityCondition when a weight is at most ``prob_tol``.
@@ -217,7 +218,7 @@ def _conditional_blocks(
             f"condition ket dimension {kets.shape[0]} != subsystem dimension {r.shape[0]}"
         )
     # r[c, k, c', l]: c, c' on the conditioned side, k, l on the kept side
-    half = np.tensordot(r, kets, axes=([2], [0]))
+    half = r.transpose(0, 1, 3, 2) @ kets  # half[c, k, l, i]
     blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
     weights = np.einsum("ikk->i", blocks).real
     if (weights <= prob_tol).any():
@@ -249,7 +250,7 @@ def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     min_eig = float(values[:, -1].min())
     if min_eig < -DEFAULT_TOL:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
-    values = np.clip(values, 0.0, None)
+    values = np.maximum(values, 0.0)
     return values / values.sum(axis=1, keepdims=True)
 
 

@@ -48,8 +48,14 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor on the coarse (row-major) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of vectors or matrices by one broadcast product, as np.kron."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if not (0 < a.ndim <= 2 and 0 < b.ndim <= 2):
+        raise DimensionMismatch(f"kron takes vectors or matrices, got shapes {a.shape}, {b.shape}")
+    (ra, ca), (rb, cb) = [x.shape if x.ndim == 2 else (1, x.shape[0]) for x in (a, b)]
+    out = a.reshape(ra, 1, ca, 1) * b.reshape(1, rb, 1, cb)
+    return out.reshape(-1) if a.ndim == b.ndim == 1 else out.reshape(ra * rb, ca * cb)
 
 
 def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:

@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference implementations for the test suite."""
 
 from __future__ import annotations
 
@@ -107,3 +107,22 @@ def reference_depolarizing_mixture(q: float, c1, c2, p: float) -> np.ndarray:
         q * reference_depolarizing_component(c1[0], c1[1], p)
         + (1.0 - q) * reference_depolarizing_component(c2[0], c2[1], p)
     )
+
+
+# Reference forms of two core routines, written with the numpy idioms the
+# core used before it moved to cheaper equivalents. Tests pin the core to them.
+
+
+def reference_kron(a, b) -> np.ndarray:
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def reference_conditional_blocks(rho_joint: DensityMatrix, kets: np.ndarray, side: str):
+    """Blocks and weights of density._conditional_blocks by one tensordot."""
+    dim_a, dim_b = rho_joint.dims
+    r = rho_joint.mat.reshape(dim_a, dim_b, dim_a, dim_b)
+    if side == "second":
+        r = r.transpose(1, 0, 3, 2)
+    half = np.tensordot(r, kets, axes=([2], [0]))
+    blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
+    return blocks, np.einsum("ikk->i", blocks).real

@@ -286,6 +286,29 @@ def test_qeci_infer_agrees_with_reference_on_channel_sweeps(kind):
             _assert_agrees(spec.joint(round(0.05 * k, 2)))
 
 
+def test_verdict_path_avoids_slow_numpy_idioms(monkeypatch):
+    # cheaper equivalents give the same bits: a broadcast product for np.kron,
+    # matmul for np.tensordot, np.maximum for np.clip and a slice difference
+    # for np.diff
+    called = []
+    for name in ("kron", "tensordot", "clip", "diff"):
+
+        def refuse(*args, _name=name, **kwargs):
+            called.append(_name)
+            raise AssertionError(f"np.{_name} on the verdict path")
+
+        monkeypatch.setattr(np, name, refuse)
+    amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        for kind in ChannelSpec.KINDS:
+            spec = ChannelSpec(kind, q=0.4, **(amplitudes if kind == "depolarizing" else {}))
+            rho = spec.joint(0.3)
+            qeci_infer(rho)
+            classical_eci(rotate_to_classical(rho))
+    assert called == []
+
+
 def _record_eig_inputs(monkeypatch) -> list:
     """From now on, append (shape, bytes) of each matrix qeci hands hermitian_eig."""
     seen = []

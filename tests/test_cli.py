@@ -327,6 +327,15 @@ def test_infer_huge_hermitian_pair_is_not_psd(tmp_path, capsys):
     assert err == "error: NotPSD: minimum eigenvalue -1.000e+308 below -1.0e-09\n"
 
 
+def test_infer_huge_anti_hermitian_pair_is_not_hermitian(tmp_path, capsys):
+    # m - m^dagger overflows to inf at (0, 1) and (1, 0)
+    mat = np.diag([0.25] * 4).astype(complex)
+    mat[0, 1], mat[1, 0] = 1e308, -1e308
+    path = _write_density(tmp_path, lambda payload: payload.update(matrix=_matrix_payload(mat)))
+    err = _single_error_line(capsys, ["infer", "--input", path])
+    assert err == "error: NotHermitian: hermiticity residual inf exceeds 1.0e-09\n"
+
+
 def test_map_classical_embed_then_infer_round_trip(tmp_path, capsys):
     table = tmp_path / "table.json"
     table.write_text(json.dumps([[1 / 16, 3 / 16], [5 / 16, 7 / 16]]), encoding="utf-8")

@@ -42,6 +42,53 @@ def test_marginal_set_pads_and_clamps():
     assert (ms2.rows >= 0).all()
 
 
+def test_marginal_set_from_array_equals_the_list_path():
+    rng = np.random.default_rng(72)
+    for shape in [(1, 1), (2, 2), (3, 5), (64, 64)]:
+        rows = rng.dirichlet(np.ones(shape[1]), size=shape[0])
+        if shape[1] > 1:  # rounding noise below zero, which the clamp removes
+            rows[0, 0] += rows[0, 1] + 1e-13
+            rows[0, 1] = -1e-13
+        got = MarginalSet.from_rows(rows).rows
+        assert got.dtype == float and got.shape == shape and got.flags.c_contiguous
+        assert got.tobytes() == MarginalSet.from_rows(list(rows)).rows.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[0.5, 0.5], [1.1, -0.1]]),
+        np.array([[0.5, 0.5], [np.nan, 1.0]]),
+        np.array([[0.5, 0.5], [0.5, 0.4]]),
+        np.array([[1e308, 1e308], [0.5, 0.5]]),
+        np.zeros((0, 3)),
+    ],
+    ids=["negative", "nan", "row-sum", "overflow", "no-rows"],
+)
+def test_marginal_set_from_array_raises_as_the_list_path(rows):
+    with pytest.raises(ValueError) as expected:
+        MarginalSet.from_rows(list(rows))
+    with pytest.raises(ValueError) as got:
+        MarginalSet.from_rows(rows)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_greedy_ignores_the_memory_order_of_its_rows():
+    table = np.random.default_rng(73).dirichlet(np.ones(12)).reshape(3, 4)
+    x = table / table.sum(axis=0)  # columns are the marginals
+    expected = greedy_min_entropy_coupling(MarginalSet.from_rows(list(x.T)))
+    assert len(expected.placements) > 2
+    for marginals in [
+        MarginalSet.from_rows(x.T),
+        MarginalSet.from_rows(np.asfortranarray(x.T)),
+        MarginalSet(rows=np.asfortranarray(MarginalSet.from_rows(list(x.T)).rows)),
+    ]:
+        result = greedy_min_entropy_coupling(marginals)
+        assert result.placements == expected.placements
+        assert result.entropy_bits == expected.entropy_bits
+
+
 def test_marginal_set_rejects_unnormalized_row():
     with pytest.raises(MarginalError):
         MarginalSet.from_rows([[0.5, 0.4], [0.5, 0.5]])

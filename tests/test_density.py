@@ -23,7 +23,7 @@ from qeci.density import (
 )
 from qeci.linalg import NotHermitian, dagger, hermitian_eig, partial_trace, swap_subsystems
 
-from _helpers import random_density, random_unitary
+from _helpers import random_density, random_unitary, reference_conditional_blocks
 
 
 def binary_entropy(p):
@@ -208,6 +208,20 @@ def test_conditional_blocks_reject_a_near_zero_branch(side):
     rho = validate_density(np.diag(diag).astype(complex), (2, 2))
     with pytest.raises(ZeroProbabilityCondition):
         _conditional_blocks(rho, np.eye(2, dtype=complex), side)
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_conditional_blocks_match_the_tensordot_route(side):
+    rng = np.random.default_rng(28 if side == "first" else 29)
+    for dims in [(2, 3), (3, 2), (4, 4), (2, 8), (8, 2)]:
+        rho = random_density(rng, dims)
+        cond_dim = dims[0] if side == "first" else dims[1]
+        kets = random_unitary(rng, cond_dim)
+        blocks, weights = _conditional_blocks(rho, kets, side)
+        ref_blocks, ref_weights = reference_conditional_blocks(rho, kets, side)
+        assert blocks.shape == ref_blocks.shape
+        assert np.abs(blocks - ref_blocks).max() <= 1e-15
+        assert np.abs(weights - ref_weights).max() <= 1e-15
 
 
 def test_block_spectra_check_the_whole_stack():

@@ -12,7 +12,7 @@ from qeci.linalg import (
     swap_subsystems,
 )
 
-from _helpers import random_hermitian
+from _helpers import random_hermitian, reference_kron
 
 KET0 = np.array([[1], [0]], dtype=complex)
 KET1 = np.array([[0], [1]], dtype=complex)
@@ -45,6 +45,36 @@ def test_kron_basis_bookkeeping():
 def test_kron_projector_with_identity():
     proj = KET0 @ dagger(KET0)
     assert np.allclose(kron(proj, np.eye(2)), np.diag([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_kron_equals_numpy_kron():
+    rng = np.random.default_rng(71)
+
+    def real(*shape):
+        return rng.normal(size=shape)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    pairs = [
+        (real(3), real(2)),
+        (cplx(2), real(4)),
+        (cplx(4), cplx(2)),
+        (real(2, 2), real(3, 3)),
+        (cplx(3, 3), cplx(2, 2)),
+        (cplx(2, 3), real(4, 1)),
+        (real(1, 2), cplx(3, 2)),
+        (KET0, cplx(2, 5)),
+        (real(3), cplx(2, 2)),
+        (cplx(2, 4), real(3)),
+        (np.eye(2), np.eye(3, dtype=int)),
+    ]
+    for a, b in pairs:
+        got = kron(a, b)
+        assert got.dtype == complex
+        assert np.array_equal(got, reference_kron(a, b))
+    with pytest.raises(DimensionMismatch):
+        kron(np.ones((2, 2, 2)), np.eye(2))
 
 
 def test_hermitian_eig_two_level_diagonal():
