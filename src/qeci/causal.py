@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coupling import MarginalSet, greedy_min_entropy_coupling, shannon_entropy
+from .coupling import MarginalSet, _probability_rows, greedy_min_entropy_coupling, shannon_entropy
 from .density import (
     DensityMatrix,
     _block_spectra,
@@ -16,7 +16,7 @@ from .density import (
     validate_density,
     von_neumann_entropy,
 )
-from .linalg import DimensionMismatch, partial_trace, require_finite
+from .linalg import DimensionMismatch, partial_trace
 
 TIE_TOL = 1e-9
 BRANCH_FLOOR = 1e-12
@@ -49,16 +49,8 @@ class JointDistribution:
         t = np.asarray(table, dtype=float)
         if t.ndim != 2:
             raise ValueError(f"joint table must be 2-D, got shape {t.shape}")
-        require_finite(t, "joint table")
-        if (t < -1e-12).any():
-            raise ValueError(f"joint table has negative entry {t.min():.3e}")
-        t = np.maximum(t, 0.0)
-        with np.errstate(over="ignore"):  # a table of huge entries sums to inf
-            total = float(t.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"joint table sums to {total!r}, not 1")
-        t.setflags(write=False)
-        return cls(table=t)
+        flat = _probability_rows(t.reshape(1, -1), "joint table", "joint table", ValueError)
+        return cls(table=flat.reshape(t.shape))
 
 
 @dataclass(frozen=True)
@@ -185,8 +177,6 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     table = joint.table
     p_row = table.sum(axis=1)
     p_col = table.sum(axis=0)
-    if p_row.max() <= BRANCH_FLOOR or p_col.max() <= BRANCH_FLOOR:
-        raise ValueError("degenerate joint table: a marginal carries no mass")
     fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
     fwd_rows = table[fwd] / p_row[fwd, None]
     bwd_rows = table[:, bwd].T / p_col[bwd, None]

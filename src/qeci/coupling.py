@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import DensityMatrix, validate_density
-from .linalg import DimensionMismatch, kron, require_finite
+from .linalg import DimensionMismatch, kron
 
 MASS_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -42,19 +42,33 @@ class MarginalSet:
         padded = np.zeros((len(rows), max(r.shape[0] for r in rows)))
         for i, r in enumerate(rows):
             padded[i, : r.shape[0]] = r
-        require_finite(padded, "marginal set")
-        low = padded.min(axis=1, initial=0.0)
-        if (low < -NEGATIVE_CLAMP).any():
-            i = int((low < -NEGATIVE_CLAMP).argmax())
-            raise MarginalError(f"row {i} has entry {low[i]:.3e} below -{NEGATIVE_CLAMP:.1e}")
-        padded = np.maximum(padded, 0.0)
-        with np.errstate(over="ignore"):  # a row of huge entries sums to inf
-            sums = padded.sum(axis=1)
-        if (abs(sums - 1.0) > ROW_SUM_TOL).any():
-            i = int((abs(sums - 1.0) > ROW_SUM_TOL).argmax())
-            raise MarginalError(f"row {i} sums to {float(sums[i])!r}, not 1")
-        padded.setflags(write=False)
-        return cls(rows=padded)
+        return cls(rows=_probability_rows(padded, "marginal set", "row {}", MarginalError))
+
+
+def _probability_rows(stack: np.ndarray, what: str, row_name: str, error: type) -> np.ndarray:
+    """The rows of a 2-D float stack, checked as probability vectors.
+
+    The one probability-vector check: rows must hold no entry below
+    -NEGATIVE_CLAMP and, clamped at zero, sum to one within ROW_SUM_TOL; no
+    row with a nan or inf entry passes both. Raises ``error`` naming ``what``
+    for a non-finite entry, else ``row_name.format(i)`` for the first
+    failing row i. Returns the clamped stack, read-only.
+    """
+    low = stack.min(initial=0.0)
+    rows = np.maximum(stack, 0.0)
+    with np.errstate(over="ignore"):  # a row of huge entries sums to inf
+        sums = rows.sum(axis=1)
+    if low >= -NEGATIVE_CLAMP and (abs(sums - 1.0) <= ROW_SUM_TOL).all():
+        rows.setflags(write=False)
+        return rows
+    if not np.isfinite(stack).all():
+        raise error(f"{what} contains non-finite entries")
+    if low < -NEGATIVE_CLAMP:
+        low = stack.min(axis=1)
+        i = int((low < -NEGATIVE_CLAMP).argmax())
+        raise error(f"{row_name.format(i)} has entry {low[i]:.3e} below -{NEGATIVE_CLAMP:.1e}")
+    i = int((abs(sums - 1.0) > ROW_SUM_TOL).argmax())
+    raise error(f"{row_name.format(i)} sums to {float(sums[i])!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -70,15 +84,8 @@ def _entropy_bits(masses: np.ndarray) -> float:
 
 def shannon_entropy(p) -> float:
     """Entropy of a probability vector in bits, with 0 log 0 = 0."""
-    arr = np.asarray(p, dtype=float).reshape(-1)
-    require_finite(arr, "probability vector")
-    low = arr.min(initial=0.0)
-    if low < -NEGATIVE_CLAMP:
-        raise MarginalError(f"negative probability {low:.3e}")
-    arr = np.maximum(arr, 0.0)
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise MarginalError(f"probabilities sum to {total!r}, not 1")
+    stack = np.asarray(p, dtype=float).reshape(1, -1)
+    arr = _probability_rows(stack, "probability vector", "probability vector", MarginalError)[0]
     return _entropy_bits(arr[arr > 0.0])
 
 
@@ -146,14 +153,12 @@ def bruteforce_coupling_2rows(p, q, grid_steps: int) -> float:
     (t, p0-t, q0-t, 1-p0-q0+t); the minimum entropy over a uniform grid of
     grid_steps+1 points (endpoints included) is returned, in bits.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
+    p, q = (np.asarray(row, dtype=float).reshape(1, -1) for row in (p, q))
     for name, row in (("p", p), ("q", q)):
-        if row.shape[0] != 2:
+        if row.shape[1] != 2:
             raise MarginalError(f"{name} must have exactly 2 states")
-        if (row < -NEGATIVE_CLAMP).any() or abs(row.sum() - 1.0) > ROW_SUM_TOL:
-            raise MarginalError(f"{name} is not a valid 2-state marginal")
-    p0, q0 = float(p[0]), float(q[0])
+        _probability_rows(row, name, name, MarginalError)
+    p0, q0 = float(p[0, 0]), float(q[0, 0])
     lo = max(0.0, p0 + q0 - 1.0)
     hi = min(p0, q0)
     ts = np.linspace(lo, hi, grid_steps + 1)

@@ -61,30 +61,33 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
 
-    The input must be square, finite and Hermitian within ``herm_tol`` times
-    its Frobenius norm; the (sub-tolerance) anti-Hermitian part is averaged
-    out before the decomposition.
+    The one check that a matrix is square, finite and Hermitian: the residual
+    ||a - a^dagger||_F may be at most ``herm_tol * max(1, ||a||_F)``, with both
+    norms taken on ``a`` over its largest real or imaginary part, so neither
+    overflows. The sub-tolerance anti-Hermitian part is averaged out.
 
     Returns eigenvalues sorted descending. Each eigenvector is rephased so its
     largest-magnitude component is real and positive, which pins the gauge
     for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
     reports that the decomposition did not converge.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a, dtype=complex, order="C")  # C order, so a.view(float) exists
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     require_finite(a)
-    adjoint = a.conj().T
-    residual = np.linalg.norm(a - adjoint)
-    # the bound is herm_tol * max(norm(a), 1); norm(a), which overflows on huge
-    # entries, matters only once the residual exceeds herm_tol
-    if residual > herm_tol and residual > herm_tol * np.linalg.norm(a):
-        raise NotHermitian(f"hermiticity residual {residual:.3e} exceeds {herm_tol:.1e} * norm")
+    peak = float(np.abs(a.view(float)).max(initial=0.0))  # largest real or imaginary part
+    unit = a / peak if peak else a  # entries of modulus at most sqrt(2)
+    residual = float(np.linalg.norm(unit - unit.conj().T))
+    # ||a - a^dagger|| > herm_tol * max(1, ||a||), both norms divided by peak
+    if residual * peak > herm_tol and residual > herm_tol * np.linalg.norm(unit):
+        raise NotHermitian(f"hermiticity residual {residual * peak:.3e} exceeds {herm_tol:.1e}")
     try:
-        # halving before adding cannot overflow and gives 0.5 * (a + adjoint) exactly
-        values, vectors = np.linalg.eigh(0.5 * a + 0.5 * adjoint)
+        # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
+        values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    if np.isnan(values).any():  # eigh's scaling fails once some |a_ij| overflows
+        raise EigenConvergenceError("eigendecomposition did not converge: eigh returned nan")
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]
     if vectors.size:

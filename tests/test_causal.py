@@ -205,6 +205,16 @@ def test_joint_distribution_validation():
         JointDistribution.from_table([[1.2, -0.2]])
 
 
+
+@pytest.mark.parametrize("offset", [0.999e-9, -0.999e-9])
+def test_classical_eci_accepts_what_from_table_accepts(offset):
+    # shannon_entropy checks the marginals at the table's own sum tolerance
+    rng = np.random.default_rng(21)
+    for table in (np.full((2, 2), 0.25), rng.dirichlet(np.ones(12)).reshape(3, 4)):
+        table = table / table.sum() * (1.0 + offset)
+        verdict = classical_eci(JointDistribution.from_table(table))
+        assert math.isfinite(verdict.s_forward) and math.isfinite(verdict.s_backward)
+
 @pytest.mark.parametrize(
     "call", [qeci_infer, lambda rho: conditional_spectra(rho, "forward"), rotate_to_classical]
 )

@@ -125,6 +125,12 @@ def test_star_product_output_is_psd():
         assert hermitian_eig(out).eigenvalues[-1] >= -1e-12
 
 
+def test_star_product_rejects_a_non_hermitian_idempotent_factor():
+    # n @ n == n, so only the Hermitian check can reject it
+    with pytest.raises(NotHermitian):
+        star_product(np.eye(4, dtype=complex) / 4, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
 def test_instance_conditional_epr_z():
     cond = instance_conditional(spin_singlet(), z_plus(), "second")
     assert np.allclose(cond.mat, [[0, 0], [0, 1]], atol=1e-10)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,47 @@ def test_hermitian_eig_maps_lapack_failure(monkeypatch):
     with pytest.raises(EigenConvergenceError):
         hermitian_eig(np.eye(2, dtype=complex))
 
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        # at 1e300 both Frobenius norms overflow to inf, and inf > inf is false
+        [[0.5, 1e300], [-1e300, 0.5]],
+        # norm(a) alone overflows; the relative residual is 2.8e-7
+        [[1e160, 1e153], [-1e153, 0.0]],
+    ],
+    ids=["anti-hermitian-1e300", "relative-residual-2.8e-7"],
+)
+def test_hermitian_eig_rejects_huge_non_hermitian(mat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian):
+            hermitian_eig(np.array(mat, dtype=complex))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-12], ids=["exact", "noise-1e-12"])
+def test_hermitian_eig_accepts_huge_hermitian(noise):
+    rng = np.random.default_rng(11)
+    h = random_hermitian(rng, 4)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    anti = 0.5 * (g - g.conj().T)
+    a = h + noise * np.linalg.norm(h) / np.linalg.norm(anti) * anti
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = hermitian_eig(1e200 * a).eigenvalues
+    expected = np.sort(np.linalg.eigvalsh(0.5 * (a + a.conj().T)))[::-1]
+    assert np.allclose(values / 1e200, expected, rtol=0.0, atol=1e-9)
+
+
+
+def test_hermitian_eig_maps_overflowing_moduli_to_convergence_error():
+    # finite parts, but |z| = 2.1e308 overflows and eigh returns nan
+    z = 1.5e308 + 1.5e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigenConvergenceError):
+            hermitian_eig(np.array([[0.5, z], [np.conj(z), 0.5]]))
 
 QSC_JOINT = np.diag([0.38, 0.02, 0.03, 0.57]).astype(complex)
 
