@@ -8,7 +8,13 @@ from enum import Enum
 
 import numpy as np
 
-from .coupling import MarginalSet, _probability_rows, greedy_min_entropy_coupling, shannon_entropy
+from .coupling import (
+    MarginalError,
+    MarginalSet,
+    _entropy_bits,
+    _probability_rows,
+    greedy_min_entropy_coupling,
+)
 from .density import (
     DensityMatrix,
     _block_spectra,
@@ -122,7 +128,7 @@ def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
     The cause-side reduced density is validated, which eigendecomposes it
     once; its eigenkets above the branch floor are the branches. All
     conditionals come from one contraction of the joint and all their
-    spectra from one stacked eigvalsh.
+    spectra, checked, clamped and normalized, from one stacked eigvalsh.
     """
     if direction == "forward":
         label, side = "A", "first"
@@ -134,7 +140,7 @@ def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
     reduced = _reduced(rho_ab, label, stacklevel=4)
     kets = reduced.eig.eigenvectors[:, reduced.eig.eigenvalues > BRANCH_FLOOR]
     blocks, weights = _conditional_blocks(rho_ab, kets, side)
-    rows = MarginalSet.from_rows(_block_spectra(blocks, weights))
+    rows = MarginalSet(rows=_block_spectra(blocks, weights))
     return CauseSide(reduced=reduced, kets=kets, weights=weights, blocks=blocks, rows=rows)
 
 
@@ -171,19 +177,24 @@ def _score(fwd: CauseSide, bwd: CauseSide, tie_tol: float = TIE_TOL) -> CausalVe
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:
     """Classical counterpart of qeci_infer, scoring a joint probability table.
 
-    Conditional rows whose cause state has marginal probability at the floor
-    are skipped; their conditionals are undefined.
+    The table is checked once, as a probability vector (MarginalError), since
+    a JointDistribution built directly is not validated; the marginals and
+    conditionals derived from it are then trusted. Conditional rows whose
+    cause state has marginal probability at the floor are skipped; their
+    conditionals are undefined.
     """
-    table = joint.table
+    cells = np.asarray(joint.table, dtype=float)
+    flat = _probability_rows(cells.reshape(1, -1), "joint table", "joint table", MarginalError)
+    table = flat.reshape(cells.shape)
     p_row = table.sum(axis=1)
     p_col = table.sum(axis=0)
     fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
     fwd_rows = table[fwd] / p_row[fwd, None]
     bwd_rows = table[:, bwd].T / p_col[bwd, None]
-    s_cause_fwd = shannon_entropy(p_row)
-    s_cause_bwd = shannon_entropy(p_col)
-    s_exo_fwd = greedy_min_entropy_coupling(MarginalSet.from_rows(fwd_rows)).entropy_bits
-    s_exo_bwd = greedy_min_entropy_coupling(MarginalSet.from_rows(bwd_rows)).entropy_bits
+    s_cause_fwd = _entropy_bits(p_row[p_row > 0.0])
+    s_cause_bwd = _entropy_bits(p_col[p_col > 0.0])
+    s_exo_fwd = greedy_min_entropy_coupling(MarginalSet(rows=fwd_rows)).entropy_bits
+    s_exo_bwd = greedy_min_entropy_coupling(MarginalSet(rows=bwd_rows)).entropy_bits
     return _verdict(s_cause_fwd, s_exo_fwd, s_cause_bwd, s_exo_bwd, tie_tol)
 
 

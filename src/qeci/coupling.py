@@ -71,10 +71,22 @@ def _probability_rows(stack: np.ndarray, what: str, row_name: str, error: type) 
     raise error(f"{row_name.format(i)} sums to {float(sums[i])!r}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingResult:
+    """A greedy coupling: its entropy, and its placements as two read-only arrays.
+
+    Row i of ``coords`` (ints, one column per marginal row) and ``masses[i]``
+    (normalized) are the i-th placement, in the order the rounds placed them.
+    """
+
     entropy_bits: float
-    placements: tuple[Placement, ...]
+    coords: np.ndarray
+    masses: np.ndarray
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        """The placements as Placement tuples of plain ints and floats, built on each read."""
+        return tuple(map(Placement, map(tuple, self.coords.tolist()), self.masses.tolist()))
 
 
 def _entropy_bits(masses: np.ndarray) -> float:
@@ -95,29 +107,35 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     Each round takes every row's argmax over the full row (lowest index on
     ties) as flat cell indices, reads r as the smallest of those maxima,
     records one placement of mass r there and subtracts r from them. Rounds
-    stop once r falls to the mass floor; the masses are then renormalized by
-    their sequential sum to absorb the floating-point residue.
+    stop once r is no longer above the mass floor, a nan r included; the
+    masses are then renormalized by their sequential sum to absorb the
+    floating-point residue. The rows are not checked: a MarginalSet built
+    directly is trusted to hold probability vectors.
     """
     rows = np.array(marginals.rows, dtype=float, order="C")  # flat must view rows
     flat = rows.reshape(-1)
     offsets = np.arange(rows.shape[0]) * rows.shape[1]
-    coords, masses = [], []
+    minimum = np.minimum.reduce
+    picks, masses = [], []
     while True:
         argmaxes = rows.argmax(axis=1)
         cells = argmaxes + offsets
         tops = flat[cells]
-        r = float(tops.min())
-        if r <= MASS_FLOOR:
+        r = minimum(tops)
+        if not r > MASS_FLOOR:
             break
         flat[cells] = tops - r
-        coords.append(tuple(argmaxes.tolist()))
+        picks.append(argmaxes)
         masses.append(r)
-    total = sum(masses)
-    if total <= 0.0:
+    masses = np.array(masses)
+    total = sum(masses.tolist())
+    if not 0.0 < total < math.inf:  # no round placed mass, or one placed inf
         raise MarginalError("no probability mass to couple")
-    normalized = np.array(masses) / total
-    placements = tuple(map(Placement, coords, normalized.tolist()))
-    return CouplingResult(entropy_bits=_entropy_bits(normalized), placements=placements)
+    masses /= total
+    coords = np.array(picks)
+    coords.setflags(write=False)
+    masses.setflags(write=False)
+    return CouplingResult(entropy_bits=_entropy_bits(masses), coords=coords, masses=masses)
 
 
 def coupling_to_joint_density(

@@ -226,7 +226,8 @@ def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Applies validate_density's checks to the whole stack: NotHermitian and
     NotPSD beyond DEFAULT_TOL; eigenvalues are then clipped at zero and each
     spectrum renormalized to sum to one. Raises EigenConvergenceError when
-    LAPACK fails, as hermitian_eig does.
+    LAPACK fails or returns nan, as hermitian_eig does. The spectra come back
+    read-only and are valid probability rows, so callers need not check them.
     """
     conditionals = blocks / weights[:, None, None]
     adjoints = conditionals.conj().swapaxes(1, 2)
@@ -239,11 +240,15 @@ def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
         values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[:, ::-1]
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    min_eig = float(values[:, -1].min())
-    if min_eig < -DEFAULT_TOL:
+    min_eig = float(values.min())  # nan if any eigenvalue is nan
+    if not min_eig >= -DEFAULT_TOL:
+        if math.isnan(min_eig):
+            raise EigenConvergenceError("eigendecomposition returned nan eigenvalues")
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
     values = np.maximum(values, 0.0)
-    return values / values.sum(axis=1, keepdims=True)
+    spectra = values / values.sum(axis=1, keepdims=True)
+    spectra.setflags(write=False)
+    return spectra
 
 
 def instance_conditional(

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qeci import causal, coupling
 from qeci.causal import (
     BRANCH_FLOOR,
     DegeneracyWarning,
@@ -22,6 +23,7 @@ from qeci.channels import (
     qsc_hadamard,
 )
 from qeci.classicalmap import diag_embed, rotate_to_classical
+from qeci.coupling import MarginalError
 from qeci.density import instance_conditional, pure_state, validate_density
 from qeci.linalg import dagger, hermitian_eig, kron, partial_trace, swap_subsystems
 
@@ -208,12 +210,55 @@ def test_joint_distribution_validation():
 
 @pytest.mark.parametrize("offset", [0.999e-9, -0.999e-9])
 def test_classical_eci_accepts_what_from_table_accepts(offset):
-    # shannon_entropy checks the marginals at the table's own sum tolerance
+    # classical_eci checks the table once, at from_table's own sum tolerance
     rng = np.random.default_rng(21)
     for table in (np.full((2, 2), 0.25), rng.dirichlet(np.ones(12)).reshape(3, 4)):
         table = table / table.sum() * (1.0 + offset)
         verdict = classical_eci(JointDistribution.from_table(table))
         assert math.isfinite(verdict.s_forward) and math.isfinite(verdict.s_backward)
+
+
+def test_verdict_paths_check_probabilities_once(monkeypatch):
+    rho = qsc_computational(0.4, 0.1)
+    cells = np.random.default_rng(22).dirichlet(np.ones(12)).reshape(3, 4)
+    table = JointDistribution.from_table(cells)
+    checks = []
+    real_check = coupling._probability_rows
+
+    def counting_check(stack, what, row_name, error):
+        checks.append(what)
+        return real_check(stack, what, row_name, error)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an internal probability stack was checked again")
+
+    for module in (coupling, causal):
+        monkeypatch.setattr(module, "_probability_rows", counting_check)
+    monkeypatch.setattr(coupling.MarginalSet, "from_rows", unreachable)
+    monkeypatch.setattr(coupling, "shannon_entropy", unreachable)
+    qeci_infer(rho)
+    assert checks == []
+    rotate_to_classical(rho)  # builds its table with the public from_table
+    checks.clear()
+    classical_eci(table)
+    assert checks == ["joint table"]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0.6, -0.1], [0.25, 0.25]],
+        [[math.nan, 0.5], [0.25, 0.25]],
+        [[math.inf, 0.5], [0.0, 0.0]],
+        np.zeros((2, 2)),
+    ],
+)
+def test_classical_eci_rejects_an_unvalidated_table(table):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MarginalError):
+            classical_eci(JointDistribution(table=np.array(table, dtype=float)))
+
 
 @pytest.mark.parametrize(
     "call", [qeci_infer, lambda rho: conditional_spectra(rho, "forward"), rotate_to_classical]

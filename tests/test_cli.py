@@ -118,6 +118,13 @@ def test_infer_stacked_spectra_failure_exits_4(qsc_file, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: numeric failure")
 
 
+def test_infer_nan_stacked_spectra_exits_4(qsc_file, capsys, monkeypatch):
+    # the spectra reach the coupling unchecked, so a nan eigvalsh is caught where it happens
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    assert main(["infer", "--input", qsc_file]) == 4
+    assert capsys.readouterr().err.startswith("error: numeric failure")
+
+
 def test_infer_trace_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "trace.json"
     rho = qsc_computational(0.4, 0.05)

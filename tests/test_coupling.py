@@ -1,14 +1,21 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qeci
 from qeci.coupling import (
     MarginalError,
     MarginalSet,
+    Placement,
     bruteforce_coupling_2rows,
     coupling_to_joint_density,
     greedy_min_entropy_coupling,
@@ -284,6 +291,57 @@ def test_greedy_matches_reference_loop(name):
     assert all(type(j) is int for p in result.placements for j in p.coords)
     assert abs(result.entropy_bits - entropy) <= 1e-12
 
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
+def test_coupling_result_arrays_match_the_eager_placements(name):
+    marginals = MarginalSet.from_rows(REFERENCE_SETS[name])
+    coords, masses, _ = _reference_greedy(marginals.rows)
+    result = greedy_min_entropy_coupling(marginals)
+    placements = result.placements
+    assert placements == tuple(map(Placement, coords, masses))
+    assert all(type(j) is int for p in placements for j in p.coords)
+    assert all(type(p.mass) is float for p in placements)
+    assert result.masses.tolist() == [p.mass for p in placements]
+    assert result.coords.tolist() == [list(p.coords) for p in placements]
+    assert result.coords.shape == (len(placements), marginals.rows.shape[0])
+    assert not result.coords.flags.writeable and not result.masses.flags.writeable
+
+
+_GREEDY_CHILD = """
+import json, sys
+import numpy as np
+from qeci.coupling import MarginalError, MarginalSet, greedy_min_entropy_coupling
+try:
+    greedy_min_entropy_coupling(MarginalSet(rows=np.array(json.loads(sys.argv[1]))))
+except MarginalError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[math.nan, 1.0], [0.5, 0.5]],
+        [[0.5, 0.5], [1.0, math.nan]],
+        [[math.inf, math.inf]],  # the first round leaves inf - inf = nan
+        [[math.inf, 1.0], [math.inf, math.inf]],
+    ],
+)
+def test_greedy_on_unchecked_non_finite_rows_raises_instead_of_looping(rows):
+    # a directly built MarginalSet is not checked; the child process turns a
+    # loop that never ends into a timeout instead of a stalled suite
+    src = str(Path(qeci.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _GREEDY_CHILD, json.dumps(rows)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "no probability mass to couple\n"
 
 # a row is either integer weights over their sum, or a cut of [0, 16] into
 # dyadic sixteenths, whose residuals tie untouched entries exactly
