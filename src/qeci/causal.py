@@ -22,7 +22,7 @@ from .density import (
     validate_density,
     von_neumann_entropy,
 )
-from .linalg import DimensionMismatch, partial_trace
+from .linalg import DimensionMismatch, _smallest, partial_trace
 
 TIE_TOL = 1e-9
 BRANCH_FLOOR = 1e-12
@@ -111,8 +111,8 @@ def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatri
         traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
         reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
         rho_ab._reduced_memo[label] = reduced
-    values = reduced.eig.eigenvalues
-    if (values[:-1] - values[1:] < DEGENERACY_GAP).any():
+    gaps = reduced.eig.eigenvalues[:-1] - reduced.eig.eigenvalues[1:]
+    if gaps.size and _smallest(gaps) < DEGENERACY_GAP:
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "
             "the conditioning eigenbasis is not unique",
@@ -186,8 +186,8 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     cells = np.asarray(joint.table, dtype=float)
     flat = _probability_rows(cells.reshape(1, -1), "joint table", "joint table", MarginalError)
     table = flat.reshape(cells.shape)
-    p_row = table.sum(axis=1)
-    p_col = table.sum(axis=0)
+    p_row = np.add.reduce(table, axis=1)
+    p_col = np.add.reduce(table, axis=0)
     fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
     fwd_rows = table[fwd] / p_row[fwd, None]
     bwd_rows = table[:, bwd].T / p_col[bwd, None]

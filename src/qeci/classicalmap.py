@@ -34,6 +34,6 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     vectors_b = _reduced(rho_ab, "B", stacklevel=3).eig.eigenvectors
     u = kron(vectors_a, vectors_b)
     rotated = dagger(u) @ rho_ab.mat @ u
-    diag = np.maximum(np.diag(rotated).real, 0.0)
+    diag = np.maximum(rotated.diagonal().real, 0.0)
     table = diag.reshape(rho_ab.dims)
-    return JointDistribution.from_table(table / table.sum())
+    return JointDistribution.from_table(table / np.add.reduce(table, axis=None))

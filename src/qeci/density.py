@@ -12,6 +12,8 @@ from .linalg import (
     EigenConvergenceError,
     EigenDecomposition,
     NotHermitian,
+    _largest,
+    _smallest,
     dagger,
     hermitian_eig,
     kron,
@@ -213,9 +215,10 @@ def _conditional_blocks(
     half = r.transpose(0, 1, 3, 2) @ kets  # half[c, k, l, i]
     blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
     weights = np.einsum("ikk->i", blocks).real
-    if (weights <= prob_tol).any():
+    least = _smallest(weights)
+    if least <= prob_tol:
         raise ZeroProbabilityCondition(
-            f"conditioning outcome has probability {weights.min():.3e} <= {prob_tol:.1e}"
+            f"conditioning outcome has probability {least:.3e} <= {prob_tol:.1e}"
         )
     return blocks, weights
 
@@ -223,30 +226,36 @@ def _conditional_blocks(
 def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Descending spectra of the normalized blocks, one stacked ``eigvalsh``.
 
-    Applies validate_density's checks to the whole stack: NotHermitian and
-    NotPSD beyond DEFAULT_TOL; eigenvalues are then clipped at zero and each
-    spectrum renormalized to sum to one. Raises EigenConvergenceError when
-    LAPACK fails or returns nan, as hermitian_eig does. The spectra come back
-    read-only and are valid probability rows, so callers need not check them.
+    Applies validate_density's checks to the whole stack, each block at its
+    own scale: NotHermitian when an unnormalized block's residual
+    ||b - b^dagger||_F, and NotPSD when a normalized block's minimum
+    eigenvalue times its weight, is beyond DEFAULT_TOL. That is the scale at
+    which the joint was checked; dividing by a small weight would magnify
+    rounding residue past the tolerance. Eigenvalues are then clipped at
+    zero and each spectrum renormalized to sum to one. Raises
+    EigenConvergenceError when LAPACK fails or returns nan, as hermitian_eig
+    does. The spectra come back read-only and are valid probability rows, so
+    callers need not check them.
     """
-    conditionals = blocks / weights[:, None, None]
-    adjoints = conditionals.conj().swapaxes(1, 2)
-    herm_residual = float(np.linalg.norm(conditionals - adjoints, axis=(1, 2)).max())
+    skew = (blocks - blocks.conj().swapaxes(1, 2)).view(float).reshape(len(blocks), -1)
+    herm_residual = math.sqrt(_largest(np.add.reduce(skew * skew, axis=1)))
     if herm_residual > DEFAULT_TOL:
         raise NotHermitian(
             f"hermiticity residual {herm_residual:.3e} exceeds {DEFAULT_TOL:.1e}"
         )
+    conditionals = blocks / weights[:, None, None]
+    adjoints = conditionals.conj().swapaxes(1, 2)
     try:
         values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[:, ::-1]
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    min_eig = float(values.min())  # nan if any eigenvalue is nan
+    min_eig = _smallest(values * weights[:, None])  # nan if any eigenvalue is nan
     if not min_eig >= -DEFAULT_TOL:
         if math.isnan(min_eig):
             raise EigenConvergenceError("eigendecomposition returned nan eigenvalues")
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
     values = np.maximum(values, 0.0)
-    spectra = values / values.sum(axis=1, keepdims=True)
+    spectra = values / np.add.reduce(values, axis=1, keepdims=True)
     spectra.setflags(write=False)
     return spectra
 

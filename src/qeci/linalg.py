@@ -7,6 +7,7 @@ input checks and a fixed output order and gauge on top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,24 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _smallest(a: np.ndarray):
+    """Smallest entry of a non-empty array as a Python scalar, nan if it holds a nan.
+
+    One argmin and one read: ``a.min()`` reaches the same value through a
+    Python wrapper and a ufunc reduce, whose set-up dominates on small arrays.
+    """
+    return a.item(a.argmin())
+
+
+def _largest(a: np.ndarray):
+    """Largest entry of a non-empty array as a Python scalar, nan if it holds a nan."""
+    return a.item(a.argmax())
+
+
 def require_finite(a: np.ndarray, name: str = "matrix") -> None:
     """Reject NaN/Inf entries before they poison downstream arithmetic."""
-    if not np.isfinite(np.asarray(a)).all():
+    finite = np.isfinite(np.asarray(a))
+    if finite.size and not _smallest(finite):
         raise ValueError(f"{name} contains non-finite entries")
 
 
@@ -75,7 +91,8 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     require_finite(a)
-    peak = float(np.abs(a.view(float)).max(initial=0.0))  # largest real or imaginary part
+    # largest real or imaginary part
+    peak = _largest(np.abs(a.view(float))) if a.size else 0.0
     unit = a / peak if peak else a  # entries of modulus at most sqrt(2)
     residual = float(np.linalg.norm(unit - unit.conj().T))
     # ||a - a^dagger|| > herm_tol * max(1, ||a||), both norms divided by peak
@@ -86,7 +103,8 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    if np.isnan(values).any():  # eigh's scaling fails once some |a_ij| overflows
+    # eigh's scaling fails once some |a_ij| overflows
+    if values.size and math.isnan(_smallest(values)):
         raise EigenConvergenceError("eigendecomposition did not converge: eigh returned nan")
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]

@@ -39,6 +39,20 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return u
 
 
+def small_branch_joint(rng, eps: float, pure_tau: bool) -> np.ndarray:
+    """kron(diag(1 - eps, 0), sigma) + kron(diag(0, eps), tau), side A rotated by U (x) I.
+
+    sigma and tau are Ginibre densities, tau of rank 1 when ``pure_tau``.
+    """
+    sigma, tau = (random_density(rng, (2,)).mat for _ in range(2))
+    if pure_tau:
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        tau = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    m = np.kron(np.diag([1.0 - eps, 0.0]), sigma) + np.kron(np.diag([0.0, eps]), tau)
+    u = np.kron(random_unitary(rng, 2), np.eye(2))
+    return u @ m @ u.conj().T
+
+
 def _spectral_gap(mat: np.ndarray) -> float:
     vals = np.sort(np.linalg.eigvalsh(mat))
     return float(np.diff(vals).min()) if vals.size > 1 else np.inf

@@ -32,6 +32,7 @@ from _helpers import (
     random_nondegenerate_density,
     random_nondegenerate_table,
     random_unitary,
+    small_branch_joint,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -322,6 +323,37 @@ def _assert_agrees(rho):
     verdict = qeci_infer(rho)
     got = [verdict.s_cause_fwd, verdict.s_exo_fwd, verdict.s_cause_bwd, verdict.s_exo_bwd]
     assert np.abs(np.subtract(got, _ref_scores(rho.mat, *rho.dims))).max() <= 1e-10
+
+
+def _ref_block_entropy(blocks, weights) -> float:
+    """Coupled entropy of the spectra of each normalized block's Hermitian part, by eigh."""
+    spectra = []
+    for block, weight in zip(blocks, weights):
+        c = block / weight
+        values = np.maximum(np.linalg.eigh(0.5 * (c + c.conj().T))[0], 0.0)
+        spectra.append(values / values.sum())
+    return _ref_greedy_entropy(spectra)
+
+
+@pytest.mark.parametrize("pure_tau", [False, True])
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-11])
+def test_small_branches_are_checked_at_their_own_scale(eps, pure_tau):
+    # the forward branch of weight eps holds rounding residue of ~1e-17, which
+    # reads as 1e-17 / eps once the block is normalized; before each block was
+    # judged at its own scale these joints raised NotHermitian, and NotPSD
+    # for a pure tau
+    rng = np.random.default_rng(round(-math.log10(eps)) + 100 * pure_tau)
+    for _ in range(20):
+        rho = validate_density(small_branch_joint(rng, eps, pure_tau), (2, 2))
+        verdict = qeci_infer(rho)
+        s_cause_fwd, _, s_cause_bwd, s_exo_bwd = _ref_scores(rho.mat, 2, 2)
+        # An independent contraction moves a branch of weight eps by ~1e-16 / eps
+        # once normalized (up to 3e-5 bits of s_exo_fwd at eps = 1e-11), so the
+        # forward coupling is checked from the blocks the verdict conditioned on.
+        fwd = causal._cause_side(rho, "forward")
+        got = [verdict.s_cause_fwd, verdict.s_exo_fwd, verdict.s_cause_bwd, verdict.s_exo_bwd]
+        ref = [s_cause_fwd, _ref_block_entropy(fwd.blocks, fwd.weights), s_cause_bwd, s_exo_bwd]
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-8
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (8, 2)])

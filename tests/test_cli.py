@@ -15,6 +15,9 @@ from qeci.fileio import (
     table_to_csv,
 )
 from qeci.causal import JointDistribution
+from qeci.density import validate_density
+
+from _helpers import small_branch_joint
 
 
 @pytest.fixture()
@@ -123,6 +126,16 @@ def test_infer_nan_stacked_spectra_exits_4(qsc_file, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
     assert main(["infer", "--input", qsc_file]) == 4
     assert capsys.readouterr().err.startswith("error: numeric failure")
+
+
+def test_infer_accepts_a_joint_with_a_small_branch(tmp_path, capsys):
+    # its forward branch of weight 1e-11 failed the hermiticity check once normalized
+    rng = np.random.default_rng(11)
+    path = tmp_path / "small_branch.json"
+    rho = validate_density(small_branch_joint(rng, 1e-11, pure_tau=False), (2, 2))
+    path.write_text(dump_density(rho), encoding="utf-8")
+    assert main(["infer", "--input", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_infer_trace_violation_exits_3(tmp_path, capsys):

@@ -333,8 +333,9 @@ def test_greedy_on_unchecked_non_finite_rows_raises_instead_of_looping(rows):
     # loop that never ends into a timeout instead of a stalled suite
     src = str(Path(qeci.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # the child keeps the suite's warning filter, so a raw numpy warning fails it too
     child = subprocess.run(
-        [sys.executable, "-c", _GREEDY_CHILD, json.dumps(rows)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _GREEDY_CHILD, json.dumps(rows)],
         capture_output=True,
         text=True,
         timeout=60,
@@ -342,6 +343,15 @@ def test_greedy_on_unchecked_non_finite_rows_raises_instead_of_looping(rows):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout == "no probability mass to couple\n"
+
+
+def test_greedy_stops_on_an_inf_top_before_subtracting():
+    # inf - inf would leave a nan and a RuntimeWarning in the rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MarginalError, match="no probability mass to couple"):
+            greedy_min_entropy_coupling(MarginalSet(rows=np.array([[math.inf, math.inf]])))
+
 
 # a row is either integer weights over their sum, or a cut of [0, 16] into
 # dyadic sixteenths, whose residuals tie untouched entries exactly
@@ -368,3 +378,8 @@ def test_greedy_properties_on_small_ragged_sets(rows):
         assert np.allclose(recovered, row, rtol=0.0, atol=1e-9)
     entropies = [shannon_entropy(r) for r in marginals.rows]
     assert max(entropies) - 1e-12 <= result.entropy_bits <= sum(entropies) + 1e-12
+    # exact ties between the smallest maxima must not move a placement
+    coords, ref_masses, entropy = _reference_greedy(marginals.rows)
+    assert [p.coords for p in result.placements] == coords
+    assert [p.mass for p in result.placements] == ref_masses
+    assert abs(result.entropy_bits - entropy) <= 1e-12
