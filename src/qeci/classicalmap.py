@@ -25,7 +25,8 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
 
     Conjugates by the tensor product of the reduced densities' eigenvector
     matrices and takes the real diagonal, clamped to nonnegative and
-    renormalized. Rows and columns follow descending marginal eigenvalues.
+    renormalized, so the table is a probability table by construction and is
+    not checked. Rows and columns follow descending marginal eigenvalues.
     After qeci_infer on the same joint, both reduced densities come from the
     joint's memo, so nothing is decomposed again.
     """
@@ -35,5 +36,6 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     u = kron(vectors_a, vectors_b)
     rotated = dagger(u) @ rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)
-    table = diag.reshape(rho_ab.dims)
-    return JointDistribution.from_table(table / np.add.reduce(table, axis=None))
+    table = diag.reshape(rho_ab.dims) / np.add.reduce(diag)
+    table.setflags(write=False)
+    return JointDistribution(table=table)

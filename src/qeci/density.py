@@ -11,8 +11,6 @@ from .linalg import (
     DimensionMismatch,
     EigenConvergenceError,
     EigenDecomposition,
-    NotHermitian,
-    _largest,
     _smallest,
     dagger,
     hermitian_eig,
@@ -41,9 +39,11 @@ class ZeroProbabilityCondition(ValueError):
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix with subsystem dims.
 
-    ``eig`` is the eigendecomposition of ``mat`` (of its Hermitian part) that
-    validate_density took to check positivity, so entropy and branch code
-    need not decompose the matrix again. ``_reduced_memo`` holds the validated
+    ``mat`` is exactly Hermitian, and ``eig`` is the eigendecomposition of
+    ``mat`` that validate_density took to check positivity, so entropy and
+    branch code need not decompose the matrix again. What is derived from
+    ``mat`` (partial traces, conditional blocks) is Hermitian and PSD to
+    rounding and is not checked again. ``_reduced_memo`` holds the validated
     reduced densities of a bipartite ``mat`` by side ("A" or "B") once
     causal._reduced has built them; ``mat`` is read-only, so they stay valid.
     """
@@ -107,15 +107,17 @@ def validate_density(
 ) -> DensityMatrix:
     """Check the density-matrix contract and wrap the matrix.
 
-    hermitian_eig's square, finite and Hermitian check (at ``tol``) plus the
-    dims, trace and PSD checks: raises DimensionMismatch, NotHermitian,
-    TraceNotOne, or NotPSD naming the measured residual.
-    Eigenvalues in [-tol, 0) are treated as rounding noise: they are clamped
-    to zero, the matrix is rebuilt, and the trace renormalized to one.
+    The one check of a density: hermitian_eig's square, finite and Hermitian
+    check (at ``tol``) plus the dims, trace and PSD checks; raises
+    DimensionMismatch, NotHermitian, TraceNotOne, or NotPSD naming the
+    measured residual. The matrix kept is the exactly Hermitian part that
+    hermitian_eig decomposed, which is the input itself when that is exactly
+    Hermitian. Eigenvalues in [-tol, 0) are treated as rounding noise: they
+    are clamped to zero, the matrix is rebuilt, and the trace renormalized
+    to one.
     """
     m = np.asarray(mat, dtype=complex)
     dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
-    # averages out the anti-Hermitian part that passed the check
     eig = hermitian_eig(m, herm_tol=tol)
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(
@@ -138,7 +140,9 @@ def validate_density(
         # accepted within tol; hand downstream code an exactly unit-trace matrix
         scale = trace.real
 
-    m = m / scale  # a new array, so the caller's matrix is never frozen
+    # the exactly Hermitian part that eig decomposed, as a new array, so the
+    # caller's matrix is never frozen
+    m = (0.5 * m + 0.5 * m.conj().T) / scale
     m.setflags(write=False)
     values = values / scale
     values.setflags(write=False)
@@ -188,7 +192,6 @@ def _conditional_blocks(
     rho_joint: DensityMatrix,
     kets: np.ndarray,
     conditioned_side: str,
-    prob_tol: float = PROB_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized conditionals of the kept side, one per column v_i of ``kets``.
 
@@ -197,7 +200,7 @@ def _conditional_blocks(
     one matmul (ket side) and one diagonal einsum (bra side). Returns the
     blocks stacked on axis 0 and their traces, the branch weights.
 
-    Raises ZeroProbabilityCondition when a weight is at most ``prob_tol``.
+    Raises ZeroProbabilityCondition when a weight is at most PROB_TOL.
     """
     if len(rho_joint.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_joint.dims}")
@@ -216,9 +219,9 @@ def _conditional_blocks(
     blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
     weights = np.einsum("ikk->i", blocks).real
     least = _smallest(weights)
-    if least <= prob_tol:
+    if least <= PROB_TOL:
         raise ZeroProbabilityCondition(
-            f"conditioning outcome has probability {least:.3e} <= {prob_tol:.1e}"
+            f"conditioning outcome has probability {least:.3e} <= {PROB_TOL:.1e}"
         )
     return blocks, weights
 
@@ -226,34 +229,20 @@ def _conditional_blocks(
 def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Descending spectra of the normalized blocks, one stacked ``eigvalsh``.
 
-    Applies validate_density's checks to the whole stack, each block at its
-    own scale: NotHermitian when an unnormalized block's residual
-    ||b - b^dagger||_F, and NotPSD when a normalized block's minimum
-    eigenvalue times its weight, is beyond DEFAULT_TOL. That is the scale at
-    which the joint was checked; dividing by a small weight would magnify
-    rounding residue past the tolerance. Eigenvalues are then clipped at
-    zero and each spectrum renormalized to sum to one. Raises
-    EigenConvergenceError when LAPACK fails or returns nan, as hermitian_eig
-    does. The spectra come back read-only and are valid probability rows, so
-    callers need not check them.
+    The blocks come from a validated joint, so they are Hermitian and PSD to
+    rounding; eigenvalues are clipped at zero and each spectrum renormalized
+    to sum to one. Raises EigenConvergenceError when LAPACK fails or returns
+    nan, as hermitian_eig does. The spectra come back read-only and are valid
+    probability rows, so callers need not check them.
     """
-    skew = (blocks - blocks.conj().swapaxes(1, 2)).view(float).reshape(len(blocks), -1)
-    herm_residual = math.sqrt(_largest(np.add.reduce(skew * skew, axis=1)))
-    if herm_residual > DEFAULT_TOL:
-        raise NotHermitian(
-            f"hermiticity residual {herm_residual:.3e} exceeds {DEFAULT_TOL:.1e}"
-        )
     conditionals = blocks / weights[:, None, None]
     adjoints = conditionals.conj().swapaxes(1, 2)
     try:
         values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[:, ::-1]
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    min_eig = _smallest(values * weights[:, None])  # nan if any eigenvalue is nan
-    if not min_eig >= -DEFAULT_TOL:
-        if math.isnan(min_eig):
-            raise EigenConvergenceError("eigendecomposition returned nan eigenvalues")
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{DEFAULT_TOL:.1e}")
+    if math.isnan(_smallest(values)):
+        raise EigenConvergenceError("eigendecomposition returned nan eigenvalues")
     values = np.maximum(values, 0.0)
     spectra = values / np.add.reduce(values, axis=1, keepdims=True)
     spectra.setflags(write=False)
@@ -261,26 +250,22 @@ def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def instance_conditional(
-    rho_joint: DensityMatrix,
-    condition_ket: PureState,
-    conditioned_side: str,
-    prob_tol: float = PROB_TOL,
-    tol: float = DEFAULT_TOL,
+    rho_joint: DensityMatrix, condition_ket: PureState, conditioned_side: str
 ) -> DensityMatrix:
     """Reduced state of one subsystem given a pure-state outcome on the other.
 
     The outcome |v> is applied as a partial inner product on the conditioned
     side, (<v| (x) I) rho (|v> (x) I), and the result is normalized by its
     trace. This equals tracing the conditioned side out of the star product
-    of rho with |v><v|.
+    of rho with |v><v|. The conditional is validated at the joint's scale,
+    DEFAULT_TOL divided by the outcome's probability.
 
     Raises ZeroProbabilityCondition when the outcome carries no probability
-    mass, i.e. the pre-normalization trace is at most ``prob_tol``.
+    mass, i.e. the pre-normalization trace is at most PROB_TOL.
     """
-    blocks, weights = _conditional_blocks(
-        rho_joint, condition_ket.ket[:, None], conditioned_side, prob_tol
-    )
-    return validate_density(blocks[0] / weights[0], (blocks.shape[1],), tol)
+    blocks, weights = _conditional_blocks(rho_joint, condition_ket.ket[:, None], conditioned_side)
+    weight = weights.item(0)
+    return validate_density(blocks[0] / weight, (blocks.shape[1],), DEFAULT_TOL / weight)
 
 
 def spin_singlet() -> DensityMatrix:

@@ -22,6 +22,14 @@ def random_density(rng: np.random.Generator, dims) -> DensityMatrix:
     return validate_density(m / np.trace(m).real, dims)
 
 
+def skewed_density(rng: np.random.Generator, dims) -> np.ndarray:
+    """A Ginibre density plus complex noise of Frobenius norm 1e-4, which
+    validate_density accepts at tol=1e-3 but not at its default."""
+    d = math.prod(dims)
+    noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return random_density(rng, dims).mat + 1e-4 * noise / np.linalg.norm(noise)
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unitary built from complex plane rotations plus diagonal phases."""
     u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n)))

@@ -32,6 +32,7 @@ from _helpers import (
     random_nondegenerate_density,
     random_nondegenerate_table,
     random_unitary,
+    skewed_density,
     small_branch_joint,
 )
 
@@ -239,8 +240,8 @@ def test_verdict_paths_check_probabilities_once(monkeypatch):
     monkeypatch.setattr(coupling, "shannon_entropy", unreachable)
     qeci_infer(rho)
     assert checks == []
-    rotate_to_classical(rho)  # builds its table with the public from_table
-    checks.clear()
+    rotate_to_classical(rho)  # clamps and normalizes its own table
+    assert checks == []
     classical_eci(table)
     assert checks == ["joint table"]
 
@@ -339,9 +340,9 @@ def _ref_block_entropy(blocks, weights) -> float:
 @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-11])
 def test_small_branches_are_checked_at_their_own_scale(eps, pure_tau):
     # the forward branch of weight eps holds rounding residue of ~1e-17, which
-    # reads as 1e-17 / eps once the block is normalized; before each block was
-    # judged at its own scale these joints raised NotHermitian, and NotPSD
-    # for a pure tau
+    # reads as 1e-17 / eps once the block is normalized; checked against the
+    # absolute tolerance these joints raised NotHermitian, and NotPSD for a
+    # pure tau, in qeci_infer and in instance_conditional
     rng = np.random.default_rng(round(-math.log10(eps)) + 100 * pure_tau)
     for _ in range(20):
         rho = validate_density(small_branch_joint(rng, eps, pure_tau), (2, 2))
@@ -354,6 +355,20 @@ def test_small_branches_are_checked_at_their_own_scale(eps, pure_tau):
         got = [verdict.s_cause_fwd, verdict.s_exo_fwd, verdict.s_cause_bwd, verdict.s_exo_bwd]
         ref = [s_cause_fwd, _ref_block_entropy(fwd.blocks, fwd.weights), s_cause_bwd, s_exo_bwd]
         assert np.abs(np.subtract(got, ref)).max() <= 1e-8
+        for ket, row in zip(fwd.kets.T, fwd.rows.rows):
+            cond = instance_conditional(rho, pure_state(ket), "first")
+            assert np.abs(cond.eig.eigenvalues - row).max() <= 1e-15 / eps
+
+
+def test_joints_accepted_at_a_loose_tol_infer():
+    # validate_density keeps the exactly Hermitian part of a joint it accepts,
+    # so an anti-Hermitian part of ~1e-4 passed at tol=1e-3 reaches no later check
+    rng = np.random.default_rng(12)
+    for k in range(200):
+        dims = [(2, 2), (2, 3), (3, 2), (4, 4)][k % 4]
+        rho = validate_density(skewed_density(rng, dims), dims, tol=1e-3)
+        _assert_agrees(rho)
+        assert np.array_equal(rho.mat, rho.mat.conj().T)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (8, 2)])

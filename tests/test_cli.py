@@ -138,6 +138,24 @@ def test_infer_accepts_a_joint_with_a_small_branch(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_infer_tol_reaches_the_conditionals(tmp_path, capsys):
+    # an anti-Hermitian part of 1e-5 passes --tol 1e-3; the conditionals
+    # derived from the accepted joint are not checked again at 1e-9
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mat = g @ g.conj().T
+    mat = mat / np.trace(mat).real
+    mat[0, 1] += 1e-5j
+    mat[1, 0] += 1e-5j
+    path = tmp_path / "skewed.json"
+    cells = [[[z.real, z.imag] for z in row] for row in mat]
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": cells}), encoding="utf-8")
+    assert main(["infer", "--input", str(path)]) == 3
+    assert "NotHermitian" in capsys.readouterr().err
+    assert main(["infer", "--input", str(path), "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_infer_trace_violation_exits_3(tmp_path, capsys):
     path = tmp_path / "trace.json"
     rho = qsc_computational(0.4, 0.05)

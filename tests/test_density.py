@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qeci import causal
 from qeci.density import (
     NotPSD,
     TraceNotOne,
@@ -23,7 +24,13 @@ from qeci.density import (
 )
 from qeci.linalg import NotHermitian, dagger, hermitian_eig, partial_trace, swap_subsystems
 
-from _helpers import random_density, random_unitary, reference_conditional_blocks
+from _helpers import (
+    random_density,
+    random_unitary,
+    reference_conditional_blocks,
+    skewed_density,
+    small_branch_joint,
+)
 
 
 def binary_entropy(p):
@@ -232,15 +239,49 @@ def test_conditional_blocks_match_the_tensordot_route(side):
 
 def test_block_spectra_check_the_whole_stack():
     good = np.diag([0.5, 0.5]).astype(complex)
-    skewed = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(NotHermitian):
-        _block_spectra(np.stack([good, skewed]), np.ones(2))
-    with pytest.raises(NotPSD):
-        _block_spectra(np.stack([good, np.diag([1.1, -0.1]).astype(complex)]), np.ones(2))
-    # rounding noise below tol is clipped and each spectrum renormalized
+    # rounding noise is clipped and each spectrum renormalized
     noisy = np.diag([2.0, -1e-10]).astype(complex)
     rows = _block_spectra(np.stack([good, noisy]), np.array([1.0, 2.0]))
     assert np.array_equal(rows, [[0.5, 0.5], [1.0, 0.0]])
+
+
+def _validated_joints(rng):
+    for dims in [(2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (8, 2)]:
+        for _ in range(50):
+            yield random_density(rng, dims)
+    for k in range(200):
+        dims = [(2, 2), (2, 3), (3, 2), (4, 4)][k % 4]
+        yield validate_density(skewed_density(rng, dims), dims, tol=1e-3)
+    for k in range(100):
+        eps = [1e-8, 1e-10, 1e-11][k % 3]
+        yield validate_density(small_branch_joint(rng, eps, k % 2 == 1), (2, 2))
+
+
+def test_blocks_of_a_validated_joint_need_no_check():
+    # _block_spectra trusts its blocks: a validated joint is exactly Hermitian,
+    # so each block is Hermitian and PSD to rounding at the joint's scale
+    for rho in _validated_joints(np.random.default_rng(31)):
+        assert np.array_equal(rho.mat, rho.mat.conj().T)
+        for direction in ("forward", "backward"):
+            side = causal._cause_side(rho, direction)
+            skew = side.blocks - side.blocks.conj().swapaxes(1, 2)
+            assert np.linalg.norm(skew, axis=(1, 2)).max() <= 1e-15
+            conditionals = side.blocks / side.weights[:, None, None]
+            values = np.linalg.eigvalsh(0.5 * (conditionals + conditionals.conj().swapaxes(1, 2)))
+            assert (values[:, 0] * side.weights).min() >= -1e-15
+
+
+def test_validate_keeps_an_exactly_hermitian_input_as_is():
+    rng = np.random.default_rng(32)
+    for dims in [(2, 3), (4, 4), (8, 2)] * 10:
+        d = math.prod(dims)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat = g @ g.conj().T
+        mat = (0.5 * (mat + mat.conj().T)) / np.trace(mat).real
+        assert np.array_equal(mat, mat.conj().T)
+        rho = validate_density(mat, dims)
+        assert rho.mat is not mat
+        assert np.array_equal(rho.mat, mat)
 
 
 def test_spin_singlet_marginals_and_purity():
