@@ -18,8 +18,8 @@ from .coupling import (
 from .density import (
     DensityMatrix,
     _block_spectra,
+    _build_density,
     _conditional_blocks,
-    validate_density,
     von_neumann_entropy,
 )
 from .linalg import DimensionMismatch, _smallest, partial_trace
@@ -81,7 +81,7 @@ class CausalVerdict:
 class CauseSide:
     """One direction's conditioning: the cause side and its effect conditionals.
 
-    ``reduced`` is the validated cause-side reduced density. Column i of
+    ``reduced`` is the cause-side reduced density. Column i of
     ``kets`` is its eigenket of the i-th largest eigenvalue, for each
     eigenvalue above the branch floor; ``weights[i]`` is that branch's
     probability, ``blocks[i]`` the unnormalized effect-side conditional and
@@ -96,12 +96,13 @@ class CauseSide:
 
 
 def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatrix:
-    """Validated reduced density of side ``label`` ("A" or "B").
+    """Reduced density of side ``label`` ("A" or "B").
 
-    Built and validated (one eigendecomposition) on the first call for a
-    joint, then read from the joint's memo. Warns with DegeneracyWarning on
-    every call, at ``stacklevel`` counted from this function, when its
-    eigenbasis is not unique.
+    Built and decomposed once, on the first call for a joint, then read from
+    the joint's memo. It is not validated: the partial trace of a validated
+    joint is exactly Hermitian with a trace within 1e-15 of one. Warns with
+    DegeneracyWarning on every call, at ``stacklevel`` counted from this
+    function, when its eigenbasis is not unique.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
@@ -109,7 +110,7 @@ def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatri
     if reduced is None:
         dim_a, dim_b = rho_ab.dims
         traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
-        reduced = validate_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
+        reduced = _build_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
         rho_ab._reduced_memo[label] = reduced
     gaps = reduced.eig.eigenvalues[:-1] - reduced.eig.eigenvalues[1:]
     if gaps.size and _smallest(gaps) < DEGENERACY_GAP:
@@ -125,10 +126,10 @@ def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatri
 def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
     """Cause side of one direction, with all effect conditionals at once.
 
-    The cause-side reduced density is validated, which eigendecomposes it
-    once; its eigenkets above the branch floor are the branches. All
-    conditionals come from one contraction of the joint and all their
-    spectra, checked, clamped and normalized, from one stacked eigvalsh.
+    The cause-side reduced density is eigendecomposed once; its eigenkets
+    above the branch floor are the branches. All conditionals come from one
+    contraction of the joint and all their spectra, clamped and normalized,
+    from one stacked eigvalsh.
     """
     if direction == "forward":
         label, side = "A", "first"

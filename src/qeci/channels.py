@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, validate_density
+from .density import DensityMatrix, _build_density
 
 PAIR_NORM_TOL = 1e-9
 # columns |+> and |->
@@ -25,7 +25,7 @@ def _check_prob(value: float, name: str) -> float:
 
 def _check_amplitude_pair(gamma: float, lam: float) -> tuple[float, float]:
     gamma, lam = float(gamma), float(lam)
-    if abs(gamma * gamma + lam * lam - 1.0) > PAIR_NORM_TOL:
+    if not abs(gamma * gamma + lam * lam - 1.0) <= PAIR_NORM_TOL:  # nan fails too
         raise ValueError(
             f"amplitudes ({gamma}, {lam}) violate gamma^2 + lambda^2 = 1"
         )
@@ -71,6 +71,17 @@ class ChannelSpec:
         return bitflip_entangled(p)
 
 
+def _joint(m: np.ndarray) -> DensityMatrix:
+    """Wrap a two-qubit channel joint built from checked parameters.
+
+    Symmetrized once and not validated: weights in [0, 1] and amplitude pairs
+    of unit norm within PAIR_NORM_TOL give a PSD matrix whose trace is one to
+    within about 2 * PAIR_NORM_TOL, which _build_density renormalizes.
+    """
+    m = np.asarray(m, dtype=complex)
+    return _build_density(0.5 * m + 0.5 * m.conj().T, (2, 2))
+
+
 def _flip_weights(q: float, p: float) -> np.ndarray:
     return np.array([[q * (1.0 - p), q * p], [(1.0 - q) * p, (1.0 - q) * (1.0 - p)]])
 
@@ -85,7 +96,7 @@ def qsc_computational(q: float, p: float) -> DensityMatrix:
     q = _check_prob(q, "q")
     p = _check_prob(p, "p")
     w = _flip_weights(q, p)
-    return validate_density(np.diag(w.reshape(-1)).astype(complex), (2, 2))
+    return _joint(np.diag(w.reshape(-1)))
 
 
 def qsc_hadamard(q: float, p: float) -> DensityMatrix:
@@ -93,11 +104,11 @@ def qsc_hadamard(q: float, p: float) -> DensityMatrix:
     q = _check_prob(q, "q")
     p = _check_prob(p, "p")
     w = _flip_weights(q, p).reshape(-1)
-    return validate_density((_HADAMARD_PAIRS * w) @ _HADAMARD_PAIRS.T, (2, 2))
+    return _joint((_HADAMARD_PAIRS * w) @ _HADAMARD_PAIRS.T)
 
 
 def _depolarized(gamma: float, lam: float, p: float) -> np.ndarray:
-    """The matrix of depolarizing_component, unvalidated."""
+    """The matrix of depolarizing_component, before it is wrapped."""
     gamma, lam = _check_amplitude_pair(gamma, lam)
     p = _check_prob(p, "p")
     gg, gl, ll = gamma * gamma, gamma * lam, lam * lam
@@ -115,17 +126,17 @@ def depolarizing_component(gamma: float, lam: float, p: float) -> DensityMatrix:
     Mixes the untouched state with its phase-flipped, bit-flipped, and
     bit-phase-flipped images at weights (1-p, p/3, p/3, p/3).
     """
-    return validate_density(_depolarized(gamma, lam, p), (2, 2))
+    return _joint(_depolarized(gamma, lam, p))
 
 
 def depolarizing_mixture(q: float, c1, c2, p: float) -> DensityMatrix:
     """Convex mixture of two depolarizing components sharing the error rate p.
 
-    Only the mixture is validated, not each component.
+    Only the mixture is wrapped and decomposed, not each component.
     """
     q = _check_prob(q, "q")
     mixture = q * _depolarized(c1[0], c1[1], p) + (1.0 - q) * _depolarized(c2[0], c2[1], p)
-    return validate_density(mixture, (2, 2))
+    return _joint(mixture)
 
 
 def bitflip_entangled(p: float) -> DensityMatrix:
@@ -133,4 +144,4 @@ def bitflip_entangled(p: float) -> DensityMatrix:
     p = _check_prob(p, "p")
     half = 0.5
     diag = [half * (1.0 - p), half * p, half * p, half * (1.0 - p)]
-    return validate_density(np.diag(diag).astype(complex), (2, 2))
+    return _joint(np.diag(diag))

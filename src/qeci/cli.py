@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from .causal import CausalVerdict, CauseSide, _cause_side, _score, qeci_infer
-from .channels import ChannelSpec, qsc_computational
+from .channels import ChannelSpec, _check_prob, qsc_computational
 from .classicalmap import diag_embed, rotate_to_classical
 from .coupling import greedy_min_entropy_coupling
 from .density import DEFAULT_TOL, DensityMatrix
@@ -99,7 +99,9 @@ def cmd_sweep(args) -> int:
             gamma2=args.gamma2,
             lambda2=args.lambda2,
         )
-        grid = _p_grid(args.p_start, args.p_end, args.steps)
+        grid = _p_grid(
+            _check_prob(args.p_start, "--p-start"), _check_prob(args.p_end, "--p-end"), args.steps
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

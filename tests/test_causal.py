@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qeci
 from qeci import causal, coupling
 from qeci.causal import (
     BRANCH_FLOOR,
@@ -25,7 +26,7 @@ from qeci.channels import (
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.coupling import MarginalError
 from qeci.density import instance_conditional, pure_state, validate_density
-from qeci.linalg import dagger, hermitian_eig, kron, partial_trace, swap_subsystems
+from qeci.linalg import _eigh, dagger, kron, partial_trace, swap_subsystems
 
 from _helpers import (
     random_density,
@@ -412,18 +413,36 @@ def test_verdict_path_avoids_slow_numpy_idioms(monkeypatch):
 
 
 def _record_eig_inputs(monkeypatch) -> list:
-    """From now on, append (shape, bytes) of each matrix qeci hands hermitian_eig."""
+    """From now on, append (shape, bytes) of each matrix qeci decomposes.
+
+    Every decomposition goes through linalg._eigh: hermitian_eig after its
+    check, and the densities the library builds unchecked.
+    """
     seen = []
 
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a, dtype=complex)
-        seen.append((a.shape, a.tobytes()))
-        return hermitian_eig(a, *args, **kwargs)
+    def counting(h):
+        seen.append((h.shape, h.tobytes()))
+        return _eigh(h)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
-            monkeypatch.setattr(module, "hermitian_eig", counting)
+        if name.split(".")[0] == "qeci" and getattr(module, "_eigh", None) is _eigh:
+            monkeypatch.setattr(module, "_eigh", counting)
     return seen
+
+
+def _count_validations(monkeypatch) -> list:
+    """From now on, append the dims of each validate_density call, wherever bound."""
+    calls = []
+
+    def counting(mat, dims, *args, **kwargs):
+        calls.append(dims)
+        return validate_density(mat, dims, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "validate_density", None)
+        if name.split(".")[0] == "qeci" and bound is validate_density:
+            monkeypatch.setattr(module, "validate_density", counting)
+    return calls
 
 
 def test_each_matrix_is_decomposed_once(monkeypatch):
@@ -451,6 +470,27 @@ def test_depolarizing_mixture_is_decomposed_once(monkeypatch):
     seen = _record_eig_inputs(monkeypatch)
     depolarizing_mixture(0.4, (0.6, 0.8), (1 / math.sqrt(2), 1 / math.sqrt(2)), 0.3)
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("kind", ChannelSpec.KINDS)
+def test_library_built_densities_are_decomposed_unchecked(monkeypatch, kind):
+    # a channel joint is built from checked parameters and its reduced
+    # densities from a validated joint, so a sweep point validates nothing
+    amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+    spec = ChannelSpec(kind, q=0.4, **(amplitudes if kind == "depolarizing" else {}))
+    validations = _count_validations(monkeypatch)
+    seen = _record_eig_inputs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        rho = spec.joint(0.3)
+        qeci_infer(rho)
+        classical_eci(rotate_to_classical(rho))
+    assert validations == [] and len(seen) == 3
+    # outside input is validated once, then decomposed with its two sides
+    mat = random_density(np.random.default_rng(5), (4, 4)).mat
+    del seen[:]
+    qeci_infer(qeci.validate_density(mat, (4, 4)))
+    assert validations == [(4, 4)] and len(seen) == 3
 
 
 def test_reused_reduced_density_still_warns_at_the_caller():

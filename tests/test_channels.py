@@ -175,3 +175,34 @@ def test_channel_spec_routing_and_validation():
         ChannelSpec(kind="nope")
     with pytest.raises(ValueError):
         ChannelSpec(kind="depolarizing", q=0.4)
+
+
+@pytest.mark.parametrize("slot", ["gamma1", "lambda1", "gamma2", "lambda2"])
+def test_nan_amplitude_is_rejected(slot):
+    amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=INV_SQRT2, lambda2=INV_SQRT2)
+    amplitudes[slot] = math.nan
+    with pytest.raises(ValueError, match="violate gamma"):
+        ChannelSpec(kind="depolarizing", q=0.4, **amplitudes)
+    pair = (amplitudes["gamma1"], amplitudes["lambda1"])
+    if math.nan in pair:
+        with pytest.raises(ValueError, match="violate gamma"):
+            depolarizing_component(*pair, 0.1)
+
+
+# |gamma^2 + lambda^2 - 1| = 9e-10, inside PAIR_NORM_TOL: each component has
+# trace 1 + 1.8e-9, which the channel joint renormalizes instead of rejecting
+EDGE_LAMBDA = 0.8000000005625
+
+
+@pytest.mark.parametrize("p", [k / 40 for k in range(41)])
+def test_amplitude_pair_at_the_tolerance_edge_is_normalized(p):
+    edge = ChannelSpec("depolarizing", q=0.4, gamma1=0.6, lambda1=EDGE_LAMBDA,
+                       gamma2=0.6, lambda2=EDGE_LAMBDA)
+    exact = ChannelSpec("depolarizing", q=0.4, gamma1=0.6, lambda1=0.8, gamma2=0.6, lambda2=0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        rho = edge.joint(p)
+        got, want = qeci_infer(rho), qeci_infer(exact.joint(p))
+    assert abs(np.trace(rho.mat) - 1.0) <= 1e-15
+    for name in ("s_cause_fwd", "s_exo_fwd", "s_cause_bwd", "s_exo_bwd"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-8, name

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -253,6 +254,50 @@ def test_sweep_rejects_bad_channel_params(capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--p-start", "nan", "--p-end", "0.9"],
+        ["--p-start", "0.1", "--p-end", "nan"],
+        ["--p-start", "0.1", "--p-end", "1.5"],
+        ["--p-start", "-0.1", "--p-end", "0.9"],
+        ["--p-start", "0.1", "--p-end", "0.9", "--gamma1", "nan"],
+        ["--p-start", "0.1", "--p-end", "0.9", "--lambda2", "nan"],
+    ],
+)
+def test_sweep_rejects_bad_ends_and_amplitudes_with_one_line(capsys, flags):
+    amplitudes = {"--gamma1": "0.6", "--lambda1": "0.8", "--gamma2": "0.6", "--lambda2": "0.8"}
+    for flag in flags[::2]:
+        amplitudes.pop(flag, None)
+    argv = ["sweep", "--channel", "depolarizing", "--q", "0.4", "--steps", "3", *flags]
+    for flag, value in amplitudes.items():
+        argv += [flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sweep_amplitude_pair_at_the_tolerance_edge_gives_finite_rows(capsys):
+    # |gamma^2 + lambda^2 - 1| = 9e-10 is accepted, so every point must infer
+    def rows(lam):
+        argv = [
+            "sweep", "--channel", "depolarizing", "--q", "0.4",
+            "--gamma1", "0.6", "--lambda1", lam, "--gamma2", "0.6", "--lambda2", lam,
+            "--p-start", "0.05", "--p-end", "0.95", "--steps", "19",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "failed" not in captured.err
+        return [line.split(",") for line in captured.out.split()[1:]]
+
+    for edge, exact in zip(rows("0.8000000005625"), rows("0.8")):
+        assert edge[0] == exact[0] and edge[4] == exact[4]
+        for got, want in zip(edge[1:4], exact[1:4]):
+            assert math.isfinite(float(got))
+            assert abs(float(got) - float(want)) <= 1e-8
 
 
 def test_coupling_worked_example(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qeci import causal
+from qeci.channels import ChannelSpec
 from qeci.density import (
     NotPSD,
     TraceNotOne,
@@ -269,6 +270,40 @@ def test_blocks_of_a_validated_joint_need_no_check():
             conditionals = side.blocks / side.weights[:, None, None]
             values = np.linalg.eigvalsh(0.5 * (conditionals + conditionals.conj().swapaxes(1, 2)))
             assert (values[:, 0] * side.weights).min() >= -1e-15
+
+
+def _low_rank_density(rng, dims, rank) -> np.ndarray:
+    d = math.prod(dims)
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _joints_with_reduced_sides(rng):
+    yield from _validated_joints(rng)
+    for dims in [(2, 2), (2, 3), (3, 2), (4, 4), (2, 8), (8, 2), (3, 5), (1, 4), (4, 1)]:
+        for rank in (math.prod(dims), 2):
+            for _ in range(20):
+                yield validate_density(_low_rank_density(rng, dims, rank), dims)
+    amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+    for kind in ChannelSpec.KINDS:
+        spec = ChannelSpec(kind, q=0.4, **(amplitudes if kind == "depolarizing" else {}))
+        for p in np.linspace(0.0, 1.0, 41):
+            yield spec.joint(p)
+
+
+def test_reduced_densities_of_a_validated_joint_need_no_check():
+    # causal._reduced wraps each partial trace unchecked: the partial trace of
+    # an exactly Hermitian joint of unit trace is exactly Hermitian, and its
+    # trace is one to rounding
+    sides = 0
+    for rho in _joints_with_reduced_sides(np.random.default_rng(33)):
+        for traced in ("A", "B"):
+            reduced = partial_trace(rho.mat, *rho.dims, traced)
+            assert np.array_equal(reduced, reduced.conj().T)
+            assert abs(np.trace(reduced) - 1.0) <= 1e-15
+            sides += 1
+    assert sides == 2 * (600 + 9 * 2 * 20 + 4 * 41)
 
 
 def test_validate_keeps_an_exactly_hermitian_input_as_is():
