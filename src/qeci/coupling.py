@@ -114,20 +114,13 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     sequential sum to absorb the floating-point residue. The rows are not
     checked: a MarginalSet built directly is trusted to hold probability
     vectors.
-
-    k rows of width n take at most k(n - 1) + 1 rounds: a round that places
-    r zeroes the cell it read r from exactly, so after k(n - 1) + 1 of them
-    some row is all zero and the next round could only read r = 0. A
-    coupling that reaches the bound skips that round.
     """
     rows = np.array(marginals.rows, dtype=float, order="C")  # flat must view rows
     flat = rows.reshape(-1)
-    k, n = rows.shape
     # step 1 at zero width, where argmax raises ValueError next
-    offsets = np.arange(0, rows.size, n or 1)
+    offsets = np.arange(0, rows.size, rows.shape[1] or 1)
     picks, masses = [], []
-    # one round at least, so zero rows and zero width still raise in it
-    for _ in range(k * max(n - 1, 0) + 1):
+    while True:
         argmaxes = rows.argmax(axis=1)
         cells = argmaxes + offsets
         tops = flat[cells]

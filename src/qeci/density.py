@@ -11,8 +11,6 @@ from .linalg import (
     DimensionMismatch,
     EigenConvergenceError,
     EigenDecomposition,
-    _eigh,
-    _hermitian_part,
     _smallest,
     dagger,
     hermitian_eig,
@@ -42,7 +40,7 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix with subsystem dims.
 
     ``mat`` is exactly Hermitian, and ``eig`` is the eigendecomposition of
-    ``mat`` that _build_density took to check positivity, so entropy and
+    ``mat`` that was taken to check positivity, so entropy and
     branch code need not decompose the matrix again. What is derived from
     ``mat`` (partial traces, conditional blocks) is Hermitian and PSD to
     rounding and is not checked again. ``_reduced_memo`` holds the reduced
@@ -109,18 +107,18 @@ def validate_density(
 ) -> DensityMatrix:
     """Check the density-matrix contract and wrap the matrix.
 
-    The one check of outside input: the square, finite and Hermitian check
-    of hermitian_eig (at ``tol``), then the dims and trace checks, then the
-    PSD check that _build_density makes on the exactly Hermitian part it
-    decomposes; raises DimensionMismatch, NotHermitian, TraceNotOne, or
-    NotPSD naming the measured residual. The matrix kept is that exactly
-    Hermitian part, which is the input itself when that is exactly Hermitian.
-    Eigenvalues in [-tol, 0) are treated as rounding noise: they are clamped
-    to zero, the matrix is rebuilt, and the trace renormalized to one.
+    The one check of outside input: hermitian_eig's square, finite and
+    Hermitian check (at ``tol``) plus the dims, trace and PSD checks; raises
+    DimensionMismatch, NotHermitian, TraceNotOne, or NotPSD naming the
+    measured residual. The matrix kept is the exactly Hermitian part that
+    hermitian_eig decomposed, which is the input itself when that is exactly
+    Hermitian. Eigenvalues in [-tol, 0) are treated as rounding noise: they
+    are clamped to zero, the matrix is rebuilt, and the trace renormalized
+    to one.
     """
     m = np.asarray(mat, dtype=complex)
     dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
-    h = _hermitian_part(m, tol)
+    eig = hermitian_eig(m, herm_tol=tol)
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not multiply to matrix dimension {m.shape[0]}"
@@ -129,38 +127,46 @@ def validate_density(
     trace = complex(np.einsum("ii", m))
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
-    return _build_density(h, dims, tol)
+    # the exactly Hermitian part that eig decomposed
+    return _wrap(0.5 * m + 0.5 * m.conj().T, dims, eig, trace, tol)
 
 
-def _build_density(
-    h: np.ndarray, dims: tuple[int, ...], tol: float = DEFAULT_TOL
-) -> DensityMatrix:
-    """Wrap an exactly Hermitian, unit-trace-to-rounding matrix as a DensityMatrix.
+def _build_density(h: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+    """Decompose and wrap a density the library built, without validate_density.
 
-    ``h`` is not checked: validate_density checks outside input before it
-    gets here, and the library calls this directly only on matrices that are
-    exactly Hermitian by construction (reduced densities of a validated
-    joint, channel joints built from checked parameters). ``h`` is
-    decomposed once by _eigh. Eigenvalues below -``tol`` raise NotPSD; those
-    in [-tol, 0) are clamped to zero, the matrix rebuilt, and the trace
-    renormalized to one, as is a trace off one by more than 1e-15. ``mat``,
-    the eigenvalues and the eigenvectors come back read-only, and ``mat`` is
-    a new array, so the caller's matrix is never frozen.
+    Only for matrices exactly Hermitian by construction, with a trace one to
+    rounding: reduced densities of a validated joint, and channel joints
+    built from checked parameters and symmetrized once. hermitian_eig gets
+    an infinite tolerance, so it computes no Hermitian residual, and the
+    dims and trace checks are left out; the PSD check, clamp and
+    renormalization remain.
     """
-    eig = _eigh(h)
+    eig = hermitian_eig(h, herm_tol=math.inf)
+    return _wrap(h, dims, eig, complex(np.einsum("ii", h)), DEFAULT_TOL)
+
+
+def _wrap(
+    h: np.ndarray, dims: tuple[int, ...], eig: EigenDecomposition, trace: complex, tol: float
+) -> DensityMatrix:
+    """Wrap the exactly Hermitian ``h`` that ``eig`` decomposes, ``trace`` its trace.
+
+    Eigenvalues below -``tol`` raise NotPSD. Those in [-tol, 0) are clamped
+    to zero, the matrix rebuilt, and the trace renormalized to one, as is a
+    trace off one by more than 1e-15. ``mat`` is ``h / scale``, a new array,
+    so ``h`` is never frozen.
+    """
     min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
     if min_eig < -tol:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
     values = np.maximum(eig.eigenvalues, 0.0)
-    trace = np.einsum("ii", h).real
     scale = 1.0
     if min_eig < 0.0:
         m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
         h = 0.5 * m + 0.5 * m.conj().T
         scale = np.trace(m).real
     elif abs(trace - 1.0) > 1e-15:
-        # hand downstream code an exactly unit-trace matrix
-        scale = trace
+        # accepted within tol; hand downstream code an exactly unit-trace matrix
+        scale = trace.real
     m = h / scale
     m.setflags(write=False)
     values = values / scale

@@ -74,46 +74,40 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(-1) if a.ndim == b.ndim == 1 else out.reshape(ra * rb, ca * cb)
 
 
-def _hermitian_part(a: np.ndarray, herm_tol: float) -> np.ndarray:
-    """Check that ``a`` is square, finite and Hermitian; return 0.5 * (a + a^dagger).
+def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
+    """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
 
-    The residual ||a - a^dagger||_F may be at most ``herm_tol * max(1, ||a||_F)``,
-    with both norms taken on ``a`` over its largest real or imaginary part, so
-    neither overflows. The returned matrix is exactly Hermitian, and is ``a``
-    bit for bit when ``a`` already is.
+    The one check that a matrix is square, finite and Hermitian: the residual
+    ||a - a^dagger||_F may be at most ``herm_tol * max(1, ||a||_F)``, with both
+    norms taken on ``a`` over its largest real or imaginary part, so neither
+    overflows. The sub-tolerance anti-Hermitian part is averaged out. At an
+    infinite ``herm_tol`` no residual can fail, so none is computed.
+
+    Returns eigenvalues sorted descending. Each eigenvector is rephased so its
+    largest-magnitude component is real and positive, which pins the gauge
+    for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
+    reports that the decomposition did not converge.
     """
     a = np.asarray(a, dtype=complex, order="C")  # C order, so a.view(float) exists
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     require_finite(a)
-    # largest real or imaginary part
-    peak = _largest(np.abs(a.view(float))) if a.size else 0.0
-    unit = a / peak if peak else a  # entries of modulus at most sqrt(2)
-    residual = float(np.linalg.norm(unit - unit.conj().T))
-    # ||a - a^dagger|| > herm_tol * max(1, ||a||), both norms divided by peak
-    if residual * peak > herm_tol and residual > herm_tol * np.linalg.norm(unit):
-        raise NotHermitian(f"hermiticity residual {residual * peak:.3e} exceeds {herm_tol:.1e}")
-    # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
-    return 0.5 * a + 0.5 * a.conj().T
-
-
-def _eigh(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecompose an exactly Hermitian complex matrix, unchecked.
-
-    LAPACK's ``eigh`` reads one triangle of ``h``, so the caller guarantees
-    that ``h`` is square, finite and exactly Hermitian: hermitian_eig's check
-    does for outside input, and construction does for matrices the library
-    builds. Eigenvalues come back sorted descending. Each eigenvector is
-    rephased so its largest-magnitude component is real and positive, which
-    pins the gauge for non-degenerate spectra. Raises EigenConvergenceError
-    when LAPACK reports that the decomposition did not converge, or returns
-    nan.
-    """
+    if herm_tol < math.inf:  # no residual exceeds an infinite tolerance
+        # largest real or imaginary part
+        peak = _largest(np.abs(a.view(float))) if a.size else 0.0
+        unit = a / peak if peak else a  # entries of modulus at most sqrt(2)
+        residual = float(np.linalg.norm(unit - unit.conj().T))
+        # ||a - a^dagger|| > herm_tol * max(1, ||a||), both norms divided by peak
+        if residual * peak > herm_tol and residual > herm_tol * np.linalg.norm(unit):
+            raise NotHermitian(
+                f"hermiticity residual {residual * peak:.3e} exceeds {herm_tol:.1e}"
+            )
     try:
-        values, vectors = np.linalg.eigh(h)
+        # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
+        values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh's scaling fails once some |h_ij| overflows
+    # eigh's scaling fails once some |a_ij| overflows
     if values.size and math.isnan(_smallest(values)):
         raise EigenConvergenceError("eigendecomposition did not converge: eigh returned nan")
     values = values[::-1].copy()
@@ -122,18 +116,6 @@ def _eigh(h: np.ndarray) -> EigenDecomposition:
         pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
         vectors = vectors * (pivots.conj() / np.abs(pivots))
     return EigenDecomposition(eigenvalues=values, eigenvectors=np.ascontiguousarray(vectors))
-
-
-def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
-    """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
-
-    The one check that a matrix is square, finite and Hermitian within
-    ``herm_tol`` (see _hermitian_part); the sub-tolerance anti-Hermitian part
-    is averaged out and the exactly Hermitian rest decomposed by _eigh:
-    eigenvalues descending, eigenvector gauge fixed, EigenConvergenceError
-    when LAPACK fails.
-    """
-    return _eigh(_hermitian_part(a, herm_tol))
 
 
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, traced_side: str) -> np.ndarray:

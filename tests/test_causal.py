@@ -26,7 +26,7 @@ from qeci.channels import (
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.coupling import MarginalError
 from qeci.density import instance_conditional, pure_state, validate_density
-from qeci.linalg import _eigh, dagger, kron, partial_trace, swap_subsystems
+from qeci.linalg import dagger, hermitian_eig, kron, partial_trace, swap_subsystems
 
 from _helpers import (
     random_density,
@@ -413,20 +413,17 @@ def test_verdict_path_avoids_slow_numpy_idioms(monkeypatch):
 
 
 def _record_eig_inputs(monkeypatch) -> list:
-    """From now on, append (shape, bytes) of each matrix qeci decomposes.
-
-    Every decomposition goes through linalg._eigh: hermitian_eig after its
-    check, and the densities the library builds unchecked.
-    """
+    """From now on, append (shape, bytes) of each matrix qeci hands hermitian_eig."""
     seen = []
 
-    def counting(h):
-        seen.append((h.shape, h.tobytes()))
-        return _eigh(h)
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a, dtype=complex)
+        seen.append((a.shape, a.tobytes()))
+        return hermitian_eig(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qeci" and getattr(module, "_eigh", None) is _eigh:
-            monkeypatch.setattr(module, "_eigh", counting)
+        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
+            monkeypatch.setattr(module, "hermitian_eig", counting)
     return seen
 
 
@@ -473,7 +470,7 @@ def test_depolarizing_mixture_is_decomposed_once(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ChannelSpec.KINDS)
-def test_library_built_densities_are_decomposed_unchecked(monkeypatch, kind):
+def test_library_built_densities_are_not_validated(monkeypatch, kind):
     # a channel joint is built from checked parameters and its reduced
     # densities from a validated joint, so a sweep point validates nothing
     amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)

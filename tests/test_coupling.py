@@ -378,9 +378,6 @@ def test_greedy_properties_on_small_ragged_sets(rows):
         assert np.allclose(recovered, row, rtol=0.0, atol=1e-9)
     entropies = [shannon_entropy(r) for r in marginals.rows]
     assert max(entropies) - 1e-12 <= result.entropy_bits <= sum(entropies) + 1e-12
-    # a round zeroes a cell, so k rows of width n take at most k(n - 1) + 1
-    k, n = marginals.rows.shape
-    assert len(result.masses) <= k * (n - 1) + 1
     # exact ties between the smallest maxima must not move a placement
     coords, ref_masses, entropy = _reference_greedy(marginals.rows)
     assert [p.coords for p in result.placements] == coords

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -108,6 +109,28 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_hermitian_eig_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         hermitian_eig(np.zeros((2, 3), dtype=complex))
+
+
+def test_infinite_tolerance_skips_only_the_residual(monkeypatch):
+    a = np.array([[0.5, 0.3 + 0.1j], [0.2, 0.5]], dtype=complex)  # not Hermitian
+    loose = hermitian_eig(a, herm_tol=10.0)
+    norms = []
+    norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        norms.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    eig = hermitian_eig(a, herm_tol=math.inf)
+    assert norms == []  # no residual is computed
+    # the same decomposition of the same Hermitian part
+    assert np.array_equal(eig.eigenvalues, loose.eigenvalues)
+    assert np.array_equal(eig.eigenvectors, loose.eigenvectors)
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex), herm_tol=math.inf)
+    with pytest.raises(DimensionMismatch):
+        hermitian_eig(np.zeros((2, 3), dtype=complex), herm_tol=math.inf)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
