@@ -106,12 +106,12 @@ def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatri
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    reduced = rho_ab._reduced_memo.get(label)
+    reduced = rho_ab._memo.get(label)
     if reduced is None:
         dim_a, dim_b = rho_ab.dims
         traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
         reduced = _build_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
-        rho_ab._reduced_memo[label] = reduced
+        rho_ab._memo[label] = reduced
     gaps = reduced.eig.eigenvalues[:-1] - reduced.eig.eigenvalues[1:]
     if gaps.size and _smallest(gaps) < DEGENERACY_GAP:
         warnings.warn(

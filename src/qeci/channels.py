@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, _build_density
+from .density import DEFAULT_TOL, DensityMatrix, _checked_psd
 
 PAIR_NORM_TOL = 1e-9
 # columns |+> and |->
@@ -76,10 +76,12 @@ def _joint(m: np.ndarray) -> DensityMatrix:
 
     Symmetrized once and not validated: weights in [0, 1] and amplitude pairs
     of unit norm within PAIR_NORM_TOL give a PSD matrix whose trace is one to
-    within about 2 * PAIR_NORM_TOL, which _build_density renormalizes.
+    within about 2 * PAIR_NORM_TOL, which _wrap renormalizes. Only the PSD
+    check of validate_density runs, on the spectrum.
     """
     m = np.asarray(m, dtype=complex)
-    return _build_density(0.5 * m + 0.5 * m.conj().T, (2, 2))
+    h = 0.5 * m + 0.5 * m.conj().T
+    return _checked_psd(h, (2, 2), complex(np.einsum("ii", h)), DEFAULT_TOL)
 
 
 def _flip_weights(q: float, p: float) -> np.ndarray:

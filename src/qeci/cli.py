@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -27,15 +28,19 @@ from .linalg import EigenConvergenceError, swap_subsystems
 
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    raw = os.environ.get("QECI_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise FileFormatError(f"QECI_TOL is not a number: {raw!r}") from exc
+    """--tol, else QECI_TOL, else DEFAULT_TOL; a finite number >= 0 or FileFormatError."""
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        raw, source = os.environ.get("QECI_TOL"), "QECI_TOL"
+        if raw is None:
+            return DEFAULT_TOL
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise FileFormatError(f"QECI_TOL is not a number: {raw!r}") from exc
+    if not 0.0 <= tol < math.inf:  # nan fails too
+        raise FileFormatError(f"{source} must be a finite number >= 0, got {tol}")
+    return tol
 
 
 def _write_text(text: str, out_path: str | None) -> None:

@@ -11,6 +11,7 @@ from .linalg import (
     DimensionMismatch,
     EigenConvergenceError,
     EigenDecomposition,
+    _checked_hermitian,
     _smallest,
     dagger,
     hermitian_eig,
@@ -39,23 +40,36 @@ class ZeroProbabilityCondition(ValueError):
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix with subsystem dims.
 
-    ``mat`` is exactly Hermitian, and ``eig`` is the eigendecomposition of
-    ``mat`` that was taken to check positivity, so entropy and
-    branch code need not decompose the matrix again. What is derived from
-    ``mat`` (partial traces, conditional blocks) is Hermitian and PSD to
-    rounding and is not checked again. ``_reduced_memo`` holds the reduced
-    densities of a bipartite ``mat`` by side ("A" or "B") once
-    causal._reduced has built them; ``mat`` is read-only, so they stay valid.
+    ``mat`` is exactly Hermitian and read-only. What is derived from it
+    (partial traces, conditional blocks) is Hermitian and PSD to rounding and
+    is not checked again. Only _wrap constructs one. ``_memo`` holds the
+    eigendecomposition under "eig" and, once causal._reduced has built them,
+    the reduced densities of a bipartite ``mat`` by side ("A" or "B");
+    ``mat`` is read-only, so they stay valid.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
-    eig: EigenDecomposition = field(repr=False, compare=False)
-    _reduced_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        """Eigendecomposition of ``mat``, eigenvalues clamped at zero, read-only.
+
+        The one taken while the density was built, if any; else taken on the
+        first read, so a joint whose eigenvectors nobody reads is never
+        decomposed.
+        """
+        eig = self._memo.get("eig")
+        if eig is None:
+            eig = hermitian_eig(self.mat, herm_tol=math.inf)  # mat is exactly Hermitian
+            values = np.maximum(eig.eigenvalues, 0.0)
+            eig = self._memo["eig"] = _read_only(values, eig.eigenvectors)
+        return eig
 
 
 @dataclass(frozen=True)
@@ -107,18 +121,21 @@ def validate_density(
 ) -> DensityMatrix:
     """Check the density-matrix contract and wrap the matrix.
 
-    The one check of outside input: hermitian_eig's square, finite and
-    Hermitian check (at ``tol``) plus the dims, trace and PSD checks; raises
+    The one check of outside input: the square, finite and Hermitian check
+    of hermitian_eig (at ``tol``) plus the dims, trace and PSD checks; raises
     DimensionMismatch, NotHermitian, TraceNotOne, or NotPSD naming the
-    measured residual. The matrix kept is the exactly Hermitian part that
-    hermitian_eig decomposed, which is the input itself when that is exactly
-    Hermitian. Eigenvalues in [-tol, 0) are treated as rounding noise: they
-    are clamped to zero, the matrix is rebuilt, and the trace renormalized
-    to one.
+    measured residual, and ValueError for a ``tol`` that is not a finite
+    number >= 0. The matrix kept is the exactly Hermitian part of the input,
+    which is the input itself when that is exactly Hermitian. Positivity is
+    checked on the spectrum alone (see _checked_psd): eigenvalues in
+    [-tol, 0) are treated as rounding noise, clamped to zero, the matrix is
+    rebuilt, and the trace renormalized to one.
     """
+    if not 0.0 <= tol < math.inf:  # nan fails too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     m = np.asarray(mat, dtype=complex)
     dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
-    eig = hermitian_eig(m, herm_tol=tol)
+    m = _checked_hermitian(m, tol)
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not multiply to matrix dimension {m.shape[0]}"
@@ -127,53 +144,86 @@ def validate_density(
     trace = complex(np.einsum("ii", m))
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
-    # the exactly Hermitian part that eig decomposed
-    return _wrap(0.5 * m + 0.5 * m.conj().T, dims, eig, trace, tol)
+    # halving before adding cannot overflow and gives 0.5 * (m + m^dagger) exactly
+    return _checked_psd(0.5 * m + 0.5 * m.conj().T, dims, trace, tol)
+
+
+def _checked_psd(
+    h: np.ndarray, dims: tuple[int, ...], trace: complex, tol: float
+) -> DensityMatrix:
+    """Wrap the exactly Hermitian ``h``, ``trace`` its trace, once its spectrum is PSD.
+
+    The PSD check of validate_density and of the channel joints: one
+    ``eigvalsh``, since the check reads only the smallest eigenvalue. Below
+    -``tol`` it raises NotPSD; in [-tol, 0) it is rounding noise, and only
+    then is ``h`` decomposed, for _wrap's clamp and rebuild. Otherwise ``h``
+    is wrapped without eigenvectors, which DensityMatrix.eig takes on read.
+    Raises EigenConvergenceError when LAPACK fails or returns nan.
+    """
+    try:
+        least = _smallest(np.linalg.eigvalsh(h))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    # eigvalsh's scaling fails once some |h_ij| overflows
+    if math.isnan(least):
+        raise EigenConvergenceError("eigendecomposition did not converge: eigvalsh returned nan")
+    if least < -tol:
+        raise NotPSD(f"minimum eigenvalue {least:.3e} below -{tol:.1e}")
+    eig = hermitian_eig(h, herm_tol=math.inf) if least < 0.0 else None
+    return _wrap(h, dims, eig, trace, tol)
 
 
 def _build_density(h: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-    """Decompose and wrap a density the library built, without validate_density.
+    """Decompose and wrap a reduced density of a validated joint.
 
-    Only for matrices exactly Hermitian by construction, with a trace one to
-    rounding: reduced densities of a validated joint, and channel joints
-    built from checked parameters and symmetrized once. hermitian_eig gets
-    an infinite tolerance, so it computes no Hermitian residual, and the
-    dims and trace checks are left out; the PSD check, clamp and
-    renormalization remain.
+    For causal._reduced, which reads the eigenkets at once. The partial
+    trace of a validated joint is exactly Hermitian with a trace one to
+    rounding, so hermitian_eig gets an infinite tolerance and computes no
+    Hermitian residual, and the dims and trace checks are left out; the PSD
+    check, clamp and renormalization remain.
     """
     eig = hermitian_eig(h, herm_tol=math.inf)
     return _wrap(h, dims, eig, complex(np.einsum("ii", h)), DEFAULT_TOL)
 
 
-def _wrap(
-    h: np.ndarray, dims: tuple[int, ...], eig: EigenDecomposition, trace: complex, tol: float
-) -> DensityMatrix:
-    """Wrap the exactly Hermitian ``h`` that ``eig`` decomposes, ``trace`` its trace.
+def _read_only(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
-    Eigenvalues below -``tol`` raise NotPSD. Those in [-tol, 0) are clamped
-    to zero, the matrix rebuilt, and the trace renormalized to one, as is a
-    trace off one by more than 1e-15. ``mat`` is ``h / scale``, a new array,
-    so ``h`` is never frozen.
+
+def _wrap(
+    h: np.ndarray,
+    dims: tuple[int, ...],
+    eig: EigenDecomposition | None,
+    trace: complex,
+    tol: float,
+) -> DensityMatrix:
+    """Wrap the exactly Hermitian ``h``, ``trace`` its trace.
+
+    ``eig`` decomposes ``h``, or is None when ``h`` is known to be PSD and
+    the density takes its decomposition on read. Eigenvalues below -``tol``
+    raise NotPSD. Those in [-tol, 0) are clamped to zero, the matrix
+    rebuilt, and the trace renormalized to one, as is a trace off one by
+    more than 1e-15. ``mat`` is ``h / scale``, a new array, so ``h`` is
+    never frozen.
     """
-    min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
-    if min_eig < -tol:
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
-    values = np.maximum(eig.eigenvalues, 0.0)
-    scale = 1.0
-    if min_eig < 0.0:
-        m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
-        h = 0.5 * m + 0.5 * m.conj().T
-        scale = np.trace(m).real
-    elif abs(trace - 1.0) > 1e-15:
-        # accepted within tol; hand downstream code an exactly unit-trace matrix
-        scale = trace.real
+    # accepted within tol; hand downstream code an exactly unit-trace matrix
+    scale = trace.real if abs(trace - 1.0) > 1e-15 else 1.0
+    memo = {}
+    if eig is not None:
+        min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
+        if min_eig < -tol:
+            raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
+        values = np.maximum(eig.eigenvalues, 0.0)
+        if min_eig < 0.0:
+            m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
+            h = 0.5 * m + 0.5 * m.conj().T
+            scale = np.trace(m).real
+        memo["eig"] = _read_only(values / scale, eig.eigenvectors)
     m = h / scale
     m.setflags(write=False)
-    values = values / scale
-    values.setflags(write=False)
-    eig.eigenvectors.setflags(write=False)
-    eig = EigenDecomposition(eigenvalues=values, eigenvectors=eig.eigenvectors)
-    return DensityMatrix(mat=m, dims=dims, eig=eig)
+    return DensityMatrix(mat=m, dims=dims, _memo=memo)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

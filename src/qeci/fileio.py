@@ -76,11 +76,15 @@ def dump_density(rho: DensityMatrix) -> str:
 
 
 def load_table_file(path: str) -> JointDistribution:
-    """Parse a joint probability table: a JSON array of equal-length rows."""
+    """Parse a joint probability table: a JSON array of equal-length rows of numbers."""
     doc = _load_json(path)
+    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
+        raise FileFormatError(f"{path}: expected an array of table rows")
+    if not all(_is_number(v) for row in doc for v in row):
+        raise FileFormatError(f"{path}: table rows must hold only numbers")
     try:
         table = np.array(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"{path}: expected a rectangular array of numbers") from exc
     if table.ndim != 2:
         raise FileFormatError(f"{path}: expected a 2-D table, got shape {table.shape}")

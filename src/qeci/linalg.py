@@ -74,19 +74,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(-1) if a.ndim == b.ndim == 1 else out.reshape(ra * rb, ca * cb)
 
 
-def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
-    """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
+def _checked_hermitian(a: np.ndarray, herm_tol: float) -> np.ndarray:
+    """``a`` as a C-ordered complex array, once it is square, finite and Hermitian.
 
-    The one check that a matrix is square, finite and Hermitian: the residual
-    ||a - a^dagger||_F may be at most ``herm_tol * max(1, ||a||_F)``, with both
-    norms taken on ``a`` over its largest real or imaginary part, so neither
-    overflows. The sub-tolerance anti-Hermitian part is averaged out. At an
-    infinite ``herm_tol`` no residual can fail, so none is computed.
-
-    Returns eigenvalues sorted descending. Each eigenvector is rephased so its
-    largest-magnitude component is real and positive, which pins the gauge
-    for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
-    reports that the decomposition did not converge.
+    The residual ||a - a^dagger||_F may be at most
+    ``herm_tol * max(1, ||a||_F)``, with both norms taken on ``a`` over its
+    largest real or imaginary part, so neither overflows. At an infinite
+    ``herm_tol`` no residual can fail, so none is computed.
     """
     a = np.asarray(a, dtype=complex, order="C")  # C order, so a.view(float) exists
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -102,6 +96,22 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
             raise NotHermitian(
                 f"hermiticity residual {residual * peak:.3e} exceeds {herm_tol:.1e}"
             )
+    return a
+
+
+def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
+    """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
+
+    Checks that ``a`` is square, finite and Hermitian within ``herm_tol``
+    (see _checked_hermitian) and decomposes its exactly Hermitian part, so
+    the sub-tolerance anti-Hermitian part is averaged out.
+
+    Returns eigenvalues sorted descending. Each eigenvector is rephased so its
+    largest-magnitude component is real and positive, which pins the gauge
+    for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
+    reports that the decomposition did not converge.
+    """
+    a = _checked_hermitian(a, herm_tol)
     try:
         # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
         values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)

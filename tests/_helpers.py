@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from qeci import DensityMatrix, validate_density
-from qeci.linalg import partial_trace
+from qeci.density import TraceNotOne, _wrap
+from qeci.linalg import DimensionMismatch, hermitian_eig, partial_trace
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -148,3 +149,20 @@ def reference_conditional_blocks(rho_joint: DensityMatrix, kets: np.ndarray, sid
     half = np.tensordot(r, kets, axes=([2], [0]))
     blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
     return blocks, np.einsum("ikk->i", blocks).real
+
+
+def reference_validate_density(mat, dims, tol: float = 1e-9) -> DensityMatrix:
+    """validate_density by a full decomposition: hermitian_eig of the input
+    checks it and _wrap checks positivity on the eigenvalues it returns. The
+    core reads only the spectrum; tests pin it to this route."""
+    m = np.asarray(mat, dtype=complex)
+    dims = tuple(dims)
+    eig = hermitian_eig(m, herm_tol=tol)
+    if math.prod(dims) != m.shape[0]:
+        raise DimensionMismatch(
+            f"subsystem dims {dims} do not multiply to matrix dimension {m.shape[0]}"
+        )
+    trace = complex(np.einsum("ii", m))
+    if abs(trace - 1.0) > tol:
+        raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
+    return _wrap(0.5 * m + 0.5 * m.conj().T, dims, eig, trace, tol)

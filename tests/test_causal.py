@@ -464,9 +464,33 @@ def test_rotate_after_infer_reuses_the_reduced_densities(monkeypatch, dims):
 
 
 def test_depolarizing_mixture_is_decomposed_once(monkeypatch):
+    # checked by its spectrum, decomposed on the first read of eig
     seen = _record_eig_inputs(monkeypatch)
-    depolarizing_mixture(0.4, (0.6, 0.8), (1 / math.sqrt(2), 1 / math.sqrt(2)), 0.3)
+    rho = depolarizing_mixture(0.4, (0.6, 0.8), (1 / math.sqrt(2), 1 / math.sqrt(2)), 0.3)
+    assert len(seen) == 0
+    rho.eig
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: validate_density(random_density(np.random.default_rng(3), (2, 3)).mat, (2, 3)),
+        lambda: depolarizing_mixture(0.4, (0.6, 0.8), (2**-0.5, 2**-0.5), 0.3),
+    ],
+    ids=["validated", "channel"],
+)
+def test_joint_eig_is_taken_on_first_read(monkeypatch, build):
+    seen = _record_eig_inputs(monkeypatch)
+    rho = build()
+    assert seen == []
+    eig = rho.eig
+    assert len(seen) == 1
+    assert rho.eig is eig and len(seen) == 1
+    ref = hermitian_eig(rho.mat)
+    assert np.array_equal(eig.eigenvalues, np.maximum(ref.eigenvalues, 0.0))
+    assert np.array_equal(eig.eigenvectors, ref.eigenvectors)
+    assert not eig.eigenvalues.flags.writeable and not eig.eigenvectors.flags.writeable
 
 
 @pytest.mark.parametrize("kind", ChannelSpec.KINDS)
@@ -482,12 +506,12 @@ def test_library_built_densities_are_not_validated(monkeypatch, kind):
         rho = spec.joint(0.3)
         qeci_infer(rho)
         classical_eci(rotate_to_classical(rho))
-    assert validations == [] and len(seen) == 3
-    # outside input is validated once, then decomposed with its two sides
+    assert validations == [] and len(seen) == 2
+    # outside input is validated once by its spectrum; only its two sides are decomposed
     mat = random_density(np.random.default_rng(5), (4, 4)).mat
     del seen[:]
     qeci_infer(qeci.validate_density(mat, (4, 4)))
-    assert validations == [(4, 4)] and len(seen) == 3
+    assert validations == [(4, 4)] and len(seen) == 2
 
 
 def test_reused_reduced_density_still_warns_at_the_caller():

@@ -177,6 +177,30 @@ def test_infer_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert main(["infer", "--input", str(path)]) == 0
 
 
+def _garbled_density_file(tmp_path) -> str:
+    # [[-1, 2], [0, 4.5]]: not Hermitian, not PSD, trace 3.5
+    path = tmp_path / "garbled.json"
+    cells = [[[-1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [4.5, 0.0]]]
+    path.write_text(json.dumps({"dims": [1, 2], "matrix": cells}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_infer_rejects_a_tol_that_is_not_finite_and_non_negative(tmp_path, capsys, tol):
+    assert main(["infer", "--input", _garbled_density_file(tmp_path), "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --tol must be a finite number >= 0") and err.count("\n") == 1
+
+
+def test_infer_rejects_a_nan_env_tol(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QECI_TOL", "nan")
+    assert main(["infer", "--input", _garbled_density_file(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: QECI_TOL must be a finite number >= 0, got nan\n"
+
+
 def test_sweep_gqsc_single_tie_row(capsys):
     assert main(
         [
@@ -451,6 +475,17 @@ def test_load_table_rejects_ragged(tmp_path):
     path.write_text("[[0.5, 0.5], [1.0]]", encoding="utf-8")
     with pytest.raises(FileFormatError):
         load_table_file(str(path))
+
+
+@pytest.mark.parametrize("text", ['[["0.5", 0.25], [0.0, 0.25]]', "[[true, 0.0], [0.0, 0.0]]"])
+def test_embed_rejects_a_table_of_non_numbers(tmp_path, capsys, text):
+    path = tmp_path / "table.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FileFormatError, match="only numbers"):
+        load_table_file(str(path))
+    assert main(["map-classical", "--input", str(path), "--mode", "embed"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: table rows must hold only numbers\n"
 
 
 def test_demo_prints_numbered_trace(capsys):

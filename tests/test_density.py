@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeci import causal
 from qeci.channels import ChannelSpec
 from qeci.density import (
+    DensityMatrix,
     NotPSD,
     TraceNotOne,
     ZeroProbabilityCondition,
@@ -29,6 +33,7 @@ from _helpers import (
     random_density,
     random_unitary,
     reference_conditional_blocks,
+    reference_validate_density,
     skewed_density,
     small_branch_joint,
 )
@@ -334,3 +339,70 @@ def test_pure_state_rejects_unnormalized():
 def test_binary_entropy_helper_agrees_with_entropy():
     rho = validate_density(np.diag([0.25, 0.75]).astype(complex), (2,))
     assert von_neumann_entropy(rho) == pytest.approx(binary_entropy(0.25), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # a nan or infinite tol would pass every check, a negative one fail them all
+    bad = np.array([[-1.0, 2.0], [0.0, 4.5]], dtype=complex)  # not Hermitian or PSD, trace 3.5
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        validate_density(bad, (2,), tol)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        validate_density(np.diag([0.5, 0.5]), (2,), tol)
+
+
+def _joint_of_rank(rng, d: int, rank: int) -> np.ndarray:
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@st.composite
+def _checked_inputs(draw):
+    """(matrix, dims, tol): seeded joints of full and low rank, a smallest
+    eigenvalue at -tol * (1 +- 1e-3), a Hermitian residual or a trace off by a
+    multiple of tol either side of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.sampled_from([(2,), (2, 2), (2, 3), (4, 4), (2, 8)]))
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    kind = draw(st.sampled_from(["full", "low", "negative", "non-hermitian", "trace"]))
+    d = math.prod(dims)
+    m = _joint_of_rank(rng, d, int(rng.integers(1, d)) if kind == "low" else d)
+    if kind == "negative":
+        least = -tol * draw(st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]))
+        values = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - least), least)
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        m = (u * values) @ u.conj().T
+    elif kind == "non-hermitian":
+        m[0, 1] += 1j * tol * draw(st.sampled_from([0.3, 3.0]))
+    elif kind == "trace":
+        m = m * (1.0 + tol * draw(st.sampled_from([0.5, 2.0])))
+    return m, dims, tol
+
+
+def _message_prefix(exc: Exception) -> str:
+    return re.match(r"[^-\d]*", str(exc)).group()
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_checked_inputs())
+def test_spectrum_check_agrees_with_the_decomposition_check(case):
+    mat, dims, tol = case
+    outcomes = []
+    for check in (validate_density, reference_validate_density):
+        try:
+            outcomes.append(check(mat, dims, tol))
+        except ValueError as exc:
+            outcomes.append(exc)
+    ours, ref = outcomes
+    assert type(ours) is type(ref)
+    if isinstance(ref, ValueError):
+        assert _message_prefix(ours) == _message_prefix(ref)
+        return
+    assert isinstance(ours, DensityMatrix) and ours.dims == ref.dims
+    h = 0.5 * mat + 0.5 * mat.conj().T
+    if np.linalg.eigvalsh(h)[0] >= 0.0 > hermitian_eig(h).eigenvalues[-1]:
+        # only the decomposition sees a negative eigenvalue, and rebuilds
+        assert np.abs(ours.mat - ref.mat).max() <= 1e-15
+    else:
+        assert np.array_equal(ours.mat, ref.mat)

@@ -1,11 +1,18 @@
-"""The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
-name, so each name it lists must resolve on the package."""
+"""Checks that keep the repository's tooling and docs in step with the package.
 
+The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
+name, so each name it lists must resolve on the package; the README's
+library example must run as written."""
+
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -22,3 +29,13 @@ def test_every_traced_function_resolves():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[-1] == "Direction.A_TO_B"
