@@ -98,22 +98,26 @@ class CauseSide:
 def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatrix:
     """Reduced density of side ``label`` ("A" or "B").
 
-    Built and decomposed once, on the first call for a joint, then read from
-    the joint's memo. It is not validated: the partial trace of a validated
-    joint is exactly Hermitian with a trace within 1e-15 of one. Warns with
-    DegeneracyWarning on every call, at ``stacklevel`` counted from this
-    function, when its eigenbasis is not unique.
+    Built and decomposed once, on the first call for a joint, and its
+    eigen-gaps tested then; both are kept in the joint's memo. It is not
+    validated: the partial trace of a validated joint is exactly Hermitian
+    with a trace within 1e-15 of one. Warns with DegeneracyWarning on every
+    call, at ``stacklevel`` counted from this function, when its eigenbasis
+    is not unique.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    reduced = rho_ab._memo.get(label)
-    if reduced is None:
+    memo = rho_ab._memo.get(label)
+    if memo is None:
         dim_a, dim_b = rho_ab.dims
         traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
         reduced = _build_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
-        rho_ab._memo[label] = reduced
-    gaps = reduced.eig.eigenvalues[:-1] - reduced.eig.eigenvalues[1:]
-    if gaps.size and _smallest(gaps) < DEGENERACY_GAP:
+        values = reduced.eig.eigenvalues
+        gaps = values[:-1] - values[1:]
+        degenerate = bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP
+        memo = rho_ab._memo[label] = (reduced, degenerate)
+    reduced, degenerate = memo
+    if degenerate:
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "
             "the conditioning eigenbasis is not unique",
@@ -139,7 +143,9 @@ def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     # stacklevel 4 names the line that called qeci_infer or conditional_spectra
     reduced = _reduced(rho_ab, label, stacklevel=4)
-    kets = reduced.eig.eigenvectors[:, reduced.eig.eigenvalues > BRANCH_FLOOR]
+    values, vectors = reduced.eig.eigenvalues, reduced.eig.eigenvectors
+    # descending: when the smallest is above the floor, every eigenket is a branch
+    kets = vectors if values[-1] > BRANCH_FLOOR else vectors[:, values > BRANCH_FLOOR]
     blocks, weights = _conditional_blocks(rho_ab, kets, side)
     rows = MarginalSet(rows=_block_spectra(blocks, weights))
     return CauseSide(reduced=reduced, kets=kets, weights=weights, blocks=blocks, rows=rows)

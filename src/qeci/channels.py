@@ -134,7 +134,9 @@ def depolarizing_component(gamma: float, lam: float, p: float) -> DensityMatrix:
 def depolarizing_mixture(q: float, c1, c2, p: float) -> DensityMatrix:
     """Convex mixture of two depolarizing components sharing the error rate p.
 
-    Only the mixture is wrapped and decomposed, not each component.
+    The mixture q * A + (1 - q) * B of the two components' matrices is
+    wrapped once; the components are never wrapped, and the mixture is
+    decomposed only when its ``eig`` is read, or at once for a clamp.
     """
     q = _check_prob(q, "q")
     mixture = q * _depolarized(c1[0], c1[1], p) + (1.0 - q) * _depolarized(c2[0], c2[1], p)

@@ -44,8 +44,9 @@ class DensityMatrix:
     (partial traces, conditional blocks) is Hermitian and PSD to rounding and
     is not checked again. Only _wrap constructs one. ``_memo`` holds the
     eigendecomposition under "eig" and, once causal._reduced has built them,
-    the reduced densities of a bipartite ``mat`` by side ("A" or "B");
-    ``mat`` is read-only, so they stay valid.
+    the reduced densities of a bipartite ``mat`` by side ("A" or "B"), each
+    with the verdict of its eigen-gap test; ``mat`` is read-only, so they
+    stay valid.
     """
 
     mat: np.ndarray
@@ -177,10 +178,10 @@ def _build_density(h: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     """Decompose and wrap a reduced density of a validated joint.
 
     For causal._reduced, which reads the eigenkets at once. The partial
-    trace of a validated joint is exactly Hermitian with a trace one to
-    rounding, so hermitian_eig gets an infinite tolerance and computes no
-    Hermitian residual, and the dims and trace checks are left out; the PSD
-    check, clamp and renormalization remain.
+    trace of a validated joint is finite and exactly Hermitian with a trace
+    one to rounding, so hermitian_eig gets an infinite tolerance and
+    decomposes it as given, and the dims and trace checks are left out; the
+    PSD check, clamp and renormalization remain.
     """
     eig = hermitian_eig(h, herm_tol=math.inf)
     return _wrap(h, dims, eig, complex(np.einsum("ii", h)), DEFAULT_TOL)
@@ -205,32 +206,37 @@ def _wrap(
     the density takes its decomposition on read. Eigenvalues below -``tol``
     raise NotPSD. Those in [-tol, 0) are clamped to zero, the matrix
     rebuilt, and the trace renormalized to one, as is a trace off one by
-    more than 1e-15. ``mat`` is ``h / scale``, a new array, so ``h`` is
-    never frozen.
+    more than 1e-15. ``h`` and ``eig`` must be fresh arrays that no caller
+    keeps: a step that would leave them as they are is skipped, so they may
+    become the density's own read-only ``mat`` and ``eig``.
     """
     # accepted within tol; hand downstream code an exactly unit-trace matrix
     scale = trace.real if abs(trace - 1.0) > 1e-15 else 1.0
     memo = {}
     if eig is not None:
-        min_eig = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
+        values = eig.eigenvalues
+        min_eig = float(values[-1]) if values.size else 0.0
         if min_eig < -tol:
             raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
-        values = np.maximum(eig.eigenvalues, 0.0)
+        if min_eig <= 0.0:  # an exact zero may be -0.0, which np.maximum makes +0.0
+            values = np.maximum(values, 0.0)
         if min_eig < 0.0:
             m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
             h = 0.5 * m + 0.5 * m.conj().T
             scale = np.trace(m).real
-        memo["eig"] = _read_only(values / scale, eig.eigenvectors)
-    m = h / scale
-    m.setflags(write=False)
-    return DensityMatrix(mat=m, dims=dims, _memo=memo)
+        memo["eig"] = _read_only(values / scale if scale != 1.0 else values, eig.eigenvectors)
+    if scale != 1.0:
+        h = h / scale
+    h.setflags(write=False)
+    return DensityMatrix(mat=h, dims=dims, _memo=memo)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue spectrum in bits, with 0 log 0 = 0."""
-    s = -sum(v * math.log2(v) for v in rho.eig.eigenvalues if v > ENTROPY_EIGENVALUE_FLOOR)
+    values = rho.eig.eigenvalues.tolist()  # Python floats: numpy's arithmetic, less overhead
+    s = -sum(v * math.log2(v) for v in values if v > ENTROPY_EIGENVALUE_FLOOR)
     # max(0.0, -0.0) keeps the first argument, so a pure state gives +0.0
-    return max(0.0, float(s))
+    return max(0.0, s)
 
 
 def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -74,50 +74,66 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(-1) if a.ndim == b.ndim == 1 else out.reshape(ra * rb, ca * cb)
 
 
+def _square(a: np.ndarray) -> np.ndarray:
+    """``a`` as a C-ordered complex array, once it is a square matrix."""
+    a = np.asarray(a, dtype=complex, order="C")  # C order, so a.view(float) exists
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def _checked_hermitian(a: np.ndarray, herm_tol: float) -> np.ndarray:
     """``a`` as a C-ordered complex array, once it is square, finite and Hermitian.
 
     The residual ||a - a^dagger||_F may be at most
-    ``herm_tol * max(1, ||a||_F)``, with both norms taken on ``a`` over its
-    largest real or imaginary part, so neither overflows. At an infinite
-    ``herm_tol`` no residual can fail, so none is computed.
+    ``herm_tol * max(1, ||a||_F)``, a finite ``herm_tol`` >= 0, with both
+    norms taken on ``a`` over its largest real or imaginary part, so neither
+    overflows.
     """
-    a = np.asarray(a, dtype=complex, order="C")  # C order, so a.view(float) exists
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    a = _square(a)
     require_finite(a)
-    if herm_tol < math.inf:  # no residual exceeds an infinite tolerance
-        # largest real or imaginary part
-        peak = _largest(np.abs(a.view(float))) if a.size else 0.0
-        unit = a / peak if peak else a  # entries of modulus at most sqrt(2)
-        residual = float(np.linalg.norm(unit - unit.conj().T))
-        # ||a - a^dagger|| > herm_tol * max(1, ||a||), both norms divided by peak
-        if residual * peak > herm_tol and residual > herm_tol * np.linalg.norm(unit):
-            raise NotHermitian(
-                f"hermiticity residual {residual * peak:.3e} exceeds {herm_tol:.1e}"
-            )
+    # largest real or imaginary part
+    peak = _largest(np.abs(a.view(float))) if a.size else 0.0
+    unit = a / peak if peak else a  # entries of modulus at most sqrt(2)
+    residual = float(np.linalg.norm(unit - unit.conj().T))
+    # ||a - a^dagger|| > herm_tol * max(1, ||a||), both norms divided by peak
+    if residual * peak > herm_tol and residual > herm_tol * np.linalg.norm(unit):
+        raise NotHermitian(
+            f"hermiticity residual {residual * peak:.3e} exceeds {herm_tol:.1e}"
+        )
     return a
 
 
 def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
 
-    Checks that ``a`` is square, finite and Hermitian within ``herm_tol``
-    (see _checked_hermitian) and decomposes its exactly Hermitian part, so
-    the sub-tolerance anti-Hermitian part is averaged out.
+    At a finite ``herm_tol`` >= 0, checks that ``a`` is square, finite and
+    Hermitian within it (see _checked_hermitian) and decomposes its exactly
+    Hermitian part, so the sub-tolerance anti-Hermitian part is averaged
+    out. ``herm_tol=math.inf`` is for matrices the library built, which are
+    finite and exactly Hermitian: only the shape is checked and ``a`` is
+    decomposed as given (``eigh`` reads its lower triangle), so a non-finite
+    entry there surfaces as EigenConvergenceError. A nan or negative
+    ``herm_tol`` raises ValueError.
 
     Returns eigenvalues sorted descending. Each eigenvector is rephased so its
     largest-magnitude component is real and positive, which pins the gauge
     for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
     reports that the decomposition did not converge.
     """
-    a = _checked_hermitian(a, herm_tol)
-    try:
+    if not herm_tol >= 0.0:  # nan fails too
+        raise ValueError(f"herm_tol must be a number >= 0, got {herm_tol}")
+    if herm_tol < math.inf:
+        a = _checked_hermitian(a, herm_tol)
         # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
-        values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.conj().T)
+        a = 0.5 * a + 0.5 * a.conj().T
+    else:
+        a = _square(a)
+    try:
+        values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh's scaling fails once some |a_ij| overflows
+    # eigh's scaling fails once some |a_ij| overflows, or an entry is not finite
     if values.size and math.isnan(_smallest(values)):
         raise EigenConvergenceError("eigendecomposition did not converge: eigh returned nan")
     values = values[::-1].copy()

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeci import causal
+from qeci import density as density_module
 from qeci.channels import ChannelSpec
 from qeci.density import (
     DensityMatrix,
@@ -309,6 +311,65 @@ def test_reduced_densities_of_a_validated_joint_need_no_check():
             assert abs(np.trace(reduced) - 1.0) <= 1e-15
             sides += 1
     assert sides == 2 * (600 + 9 * 2 * 20 + 4 * 41)
+
+
+def _clamped_joints(rng):
+    """Joints whose smallest eigenvalue lies in [-1e-10, 0), which
+    validate_density decomposes at once to clamp and rebuild."""
+    for dims in [(2,), (2, 2), (2, 3), (4, 4)]:
+        d = math.prod(dims)
+        for _ in range(10):
+            least = -1e-10 * rng.uniform(0.1, 1.0)
+            values = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - least), least)
+            u = random_unitary(rng, d)
+            yield validate_density((u * values) @ u.conj().T, dims)
+
+
+def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(monkeypatch):
+    # hermitian_eig at herm_tol=inf decomposes the matrix as given, unchecked;
+    # every one the library hands it must be finite and exactly Hermitian
+    seen = []
+
+    def recording(a, herm_tol=1e-9):
+        if herm_tol == math.inf:
+            seen.append(np.array(a))
+        return hermitian_eig(a, herm_tol)
+
+    monkeypatch.setattr(density_module, "hermitian_eig", recording)
+    rng = np.random.default_rng(34)
+    clamped = list(_clamped_joints(rng))
+    assert len(seen) == len(clamped)  # each was decomposed for its clamp
+
+    def joints():
+        amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+        for kind in ChannelSpec.KINDS:
+            spec = ChannelSpec(kind, q=0.4, **(amplitudes if kind == "depolarizing" else {}))
+            for p in np.linspace(0.0, 1.0, 21):
+                yield spec.joint(p)
+        for dims in [(2, 2), (4, 4), (2, 8), (8, 2), (3, 5)]:
+            for _ in range(20):
+                yield validate_density(_low_rank_density(rng, dims, 2), dims)
+        for k in range(40):
+            dims = [(2, 2), (2, 3), (3, 2), (4, 4)][k % 4]
+            yield validate_density(skewed_density(rng, dims), dims, tol=1e-3)
+        for k in range(30):
+            eps = [1e-8, 1e-10, 1e-11][k % 3]
+            yield validate_density(small_branch_joint(rng, eps, k % 2 == 1), (2, 2))
+        yield from clamped
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", causal.DegeneracyWarning)
+        for rho in joints():
+            rho.eig
+            if len(rho.dims) == 2:
+                causal.qeci_infer(rho)
+    assert len(seen) == len(clamped) + 3 * (84 + 100 + 40 + 30) + 2 * 30
+    for a in seen:
+        assert np.isfinite(a).all()
+        assert np.array_equal(a, a.conj().T)
+        built, checked = hermitian_eig(a, herm_tol=math.inf), hermitian_eig(a, herm_tol=1e-9)
+        assert built.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
+        assert built.eigenvectors.tobytes() == checked.eigenvectors.tobytes()
 
 
 def test_validate_keeps_an_exactly_hermitian_input_as_is():

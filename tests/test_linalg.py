@@ -111,26 +111,44 @@ def test_hermitian_eig_rejects_non_square():
         hermitian_eig(np.zeros((2, 3), dtype=complex))
 
 
-def test_infinite_tolerance_skips_only_the_residual(monkeypatch):
-    a = np.array([[0.5, 0.3 + 0.1j], [0.2, 0.5]], dtype=complex)  # not Hermitian
-    loose = hermitian_eig(a, herm_tol=10.0)
-    norms = []
-    norm = np.linalg.norm
+def test_infinite_tolerance_decomposes_the_matrix_as_given(monkeypatch):
+    # herm_tol=inf is for matrices the library built: finite and exactly Hermitian
+    a = random_hermitian(np.random.default_rng(17), 4)
+    assert np.array_equal(a, a.conj().T)
+    checked = hermitian_eig(a, herm_tol=1e-9)
+    norms, decomposed = [], []
+    norm, eigh = np.linalg.norm, np.linalg.eigh
 
     def counting_norm(*args, **kwargs):
         norms.append(args)
         return norm(*args, **kwargs)
 
+    def recording_eigh(m):
+        decomposed.append(m)
+        return eigh(m)
+
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     eig = hermitian_eig(a, herm_tol=math.inf)
     assert norms == []  # no residual is computed
-    # the same decomposition of the same Hermitian part
-    assert np.array_equal(eig.eigenvalues, loose.eigenvalues)
-    assert np.array_equal(eig.eigenvectors, loose.eigenvectors)
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex), herm_tol=math.inf)
+    assert len(decomposed) == 1 and decomposed[0] is a  # nothing is averaged
+    assert np.array_equal(eig.eigenvalues, checked.eigenvalues)
+    assert np.array_equal(eig.eigenvectors, checked.eigenvectors)
+    monkeypatch.undo()
+    for bad in ([[np.nan, 0], [0, 1]], [[np.inf, 0], [0, 1]], [[1, np.nan], [np.nan, 1]]):
+        with pytest.raises(EigenConvergenceError):
+            hermitian_eig(np.array(bad, dtype=complex), herm_tol=math.inf)
     with pytest.raises(DimensionMismatch):
         hermitian_eig(np.zeros((2, 3), dtype=complex), herm_tol=math.inf)
+
+
+@pytest.mark.parametrize("herm_tol", [math.nan, -1.0, -math.inf])
+def test_hermitian_eig_rejects_a_nan_or_negative_tolerance(herm_tol):
+    # at nan no residual was computed; at -1.0 even the identity failed
+    for a in ([[0, 1], [0, 0]], np.eye(2)):
+        with pytest.raises(ValueError, match="herm_tol must be a number >= 0"):
+            hermitian_eig(np.array(a, dtype=complex), herm_tol=herm_tol)
+    assert np.array_equal(hermitian_eig(np.eye(2), herm_tol=0.0).eigenvalues, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
