@@ -18,15 +18,19 @@ from .coupling import (
 from .density import (
     DensityMatrix,
     _block_spectra,
-    _build_density,
+    _build_densities,
+    _cause_first,
     _conditional_blocks,
     von_neumann_entropy,
 )
-from .linalg import DimensionMismatch, _smallest, partial_trace
+from .linalg import DimensionMismatch, _smallest, _stack, partial_trace
 
 TIE_TOL = 1e-9
 BRANCH_FLOOR = 1e-12
 DEGENERACY_GAP = 1e-8
+# per cause side: the subsystem traced out of the joint, and the one conditioned
+_TRACED = {"A": "B", "B": "A"}
+_CONDITIONED = {"A": "first", "B": "second"}
 
 
 class DegeneracyWarning(UserWarning):
@@ -95,60 +99,124 @@ class CauseSide:
     rows: MarginalSet
 
 
-def _reduced(rho_ab: DensityMatrix, label: str, stacklevel: int) -> DensityMatrix:
-    """Reduced density of side ``label`` ("A" or "B").
+def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...]) -> list[DensityMatrix]:
+    """Reduced densities of sides ``labels``, each "A" or "B", all of one dimension.
 
-    Built and decomposed once, on the first call for a joint, and its
-    eigen-gaps tested then; both are kept in the joint's memo. It is not
-    validated: the partial trace of a validated joint is exactly Hermitian
-    with a trace within 1e-15 of one. Warns with DegeneracyWarning on every
-    call, at ``stacklevel`` counted from this function, when its eigenbasis
-    is not unique.
+    Each is built on the first request for a joint, those built together
+    decomposed by one hermitian_eig call, and its eigen-gaps tested then;
+    both are kept in the joint's memo. They are not validated: the partial
+    trace of a validated joint is exactly Hermitian with a trace within
+    1e-15 of one. Does not warn; see _sides.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
-    memo = rho_ab._memo.get(label)
-    if memo is None:
-        dim_a, dim_b = rho_ab.dims
-        traced, dim = ("B", dim_a) if label == "A" else ("A", dim_b)
-        reduced = _build_density(partial_trace(rho_ab.mat, dim_a, dim_b, traced), (dim,))
-        values = reduced.eig.eigenvalues
-        gaps = values[:-1] - values[1:]
-        degenerate = bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP
-        memo = rho_ab._memo[label] = (reduced, degenerate)
-    reduced, degenerate = memo
-    if degenerate:
+    memo = rho_ab._memo
+    missing = [label for label in labels if label not in memo]
+    if missing:
+        traced = [partial_trace(rho_ab.mat, *rho_ab.dims, _TRACED[label]) for label in missing]
+        for label, reduced in zip(missing, _build_densities(traced)):
+            values = reduced.eig.eigenvalues
+            gaps = values[:-1] - values[1:]
+            memo[label] = (reduced, bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP)
+    return [memo[label][0] for label in labels]
+
+
+def _branch_kets(reduced: DensityMatrix) -> np.ndarray:
+    """Eigenkets of a reduced density above the branch floor, as columns."""
+    values, vectors = reduced.eig.eigenvalues, reduced.eig.eigenvectors
+    # descending: when the smallest is above the floor, every eigenket is a branch
+    return vectors if values[-1] > BRANCH_FLOOR else vectors[:, values > BRANCH_FLOOR]
+
+
+def _condition(
+    rho_ab: DensityMatrix, labels: tuple[str, ...], reduced: list[DensityMatrix]
+) -> list[CauseSide]:
+    """Cause sides ``labels`` ("A" forward, "B" backward), of one dimension, as one stack.
+
+    Side A conditions the joint's cause-first tensor r[c, k, c', l], side B
+    its transpose r.transpose(1, 0, 3, 2), on the eigenkets of its reduced
+    density above the branch floor: one block contraction and one stacked
+    eigvalsh for all their spectra, clamped and normalized. Sides that keep
+    different branch counts are conditioned as stacks of one.
+    """
+    kets = [_branch_kets(density) for density in reduced]
+    if len(kets) > 1 and kets[0].shape != kets[1].shape:
+        pairs = zip(labels, reduced)
+        return [_condition(rho_ab, (label,), [density])[0] for label, density in pairs]
+    tensors = [_cause_first(rho_ab, _CONDITIONED[label]) for label in labels]
+    blocks, weights = _conditional_blocks(_stack(tensors), _stack(kets))
+    spectra = _block_spectra(blocks, weights)
+    return [
+        CauseSide(density, kets[i], weights[i], blocks[i], MarginalSet(rows=spectra[i]))
+        for i, density in enumerate(reduced)
+    ]
+
+
+def _sides(
+    rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel: int, condition=None
+) -> list:
+    """Reduced densities of sides ``labels``, or ``condition(rho_ab, labels, reduced)``.
+
+    One result per side. When the sides share a dimension (both sides of a
+    d x d joint) they are computed in one stacked pass, and then each side
+    whose eigenbasis is not unique warns with DegeneracyWarning, in side
+    order, at ``stacklevel`` counted from here. Otherwise, or when the
+    stacked pass fails, the sides run one at a time, each warning once its
+    reduced density is built; the warnings and the error are then those of
+    that side-by-side pass, in which the first side to fail stops the rest.
+    (numpy's own floating-point warnings, which only a joint with
+    non-finite entries built around _wrap raises here, come from the failed
+    stacked attempt too.)
+    """
+    if len(labels) > 1 and len(set(rho_ab.dims)) == 1:
+        try:
+            out = _reduced(rho_ab, labels)
+            if condition is not None:
+                out = condition(rho_ab, labels, out)
+        except Exception:  # whatever it was, the side-by-side pass raises it again
+            pass
+        else:
+            for label in labels:
+                _warn(rho_ab, label, stacklevel + 1)
+            return out
+    out = []
+    for label in labels:
+        reduced = _reduced(rho_ab, (label,))
+        _warn(rho_ab, label, stacklevel + 1)
+        out += reduced if condition is None else condition(rho_ab, (label,), reduced)
+    return out
+
+
+def _warn(rho_ab: DensityMatrix, label: str, stacklevel: int) -> None:
+    """Warn, at ``stacklevel`` counted from here, if the eigenbasis of side
+    ``label``'s reduced density, already built, is not unique."""
+    if rho_ab._memo[label][1]:
         warnings.warn(
             f"reduced density of side {label} has near-degenerate eigenvalues; "
             "the conditioning eigenbasis is not unique",
             DegeneracyWarning,
             stacklevel=stacklevel,
         )
-    return reduced
 
 
 def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
     """Cause side of one direction, with all effect conditionals at once.
 
-    The cause-side reduced density is eigendecomposed once; its eigenkets
-    above the branch floor are the branches. All conditionals come from one
-    contraction of the joint and all their spectra, clamped and normalized,
-    from one stacked eigvalsh.
+    The stacked pass of _condition on a stack of one: the cause-side reduced
+    density is eigendecomposed once; its eigenkets above the branch floor are
+    the branches.
     """
-    if direction == "forward":
-        label, side = "A", "first"
-    elif direction == "backward":
-        label, side = "B", "second"
-    else:
+    label = {"forward": "A", "backward": "B"}.get(direction)
+    if label is None:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    # stacklevel 4 names the line that called qeci_infer or conditional_spectra
-    reduced = _reduced(rho_ab, label, stacklevel=4)
-    values, vectors = reduced.eig.eigenvalues, reduced.eig.eigenvectors
-    # descending: when the smallest is above the floor, every eigenket is a branch
-    kets = vectors if values[-1] > BRANCH_FLOOR else vectors[:, values > BRANCH_FLOOR]
-    blocks, weights = _conditional_blocks(rho_ab, kets, side)
-    rows = MarginalSet(rows=_block_spectra(blocks, weights))
-    return CauseSide(reduced=reduced, kets=kets, weights=weights, blocks=blocks, rows=rows)
+    # stacklevel 4 names the line that called conditional_spectra
+    return _sides(rho_ab, (label,), 4, _condition)[0]
+
+
+def _cause_sides(rho_ab: DensityMatrix) -> list[CauseSide]:
+    """Forward and backward cause sides, in one stacked pass for a d x d joint."""
+    # stacklevel 4 names the line that called qeci_infer
+    return _sides(rho_ab, ("A", "B"), 4, _condition)
 
 
 def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
@@ -166,9 +234,13 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
 
     Scores each direction by the entropy of the cause-side reduced density
     plus the greedily coupled entropy of the effect-side conditional spectra,
-    and prefers the smaller score.
+    and prefers the smaller score. For a d x d joint both directions are
+    conditioned in one stacked pass: the two reduced densities are
+    decomposed by one hermitian_eig call, and both sides' conditionals taken
+    by one block contraction and one stacked eigvalsh; otherwise each side
+    is a stack of one.
     """
-    return _score(_cause_side(rho_ab, "forward"), _cause_side(rho_ab, "backward"), tie_tol)
+    return _score(*_cause_sides(rho_ab), tie_tol)
 
 
 def _score(fwd: CauseSide, bwd: CauseSide, tie_tol: float = TIE_TOL) -> CausalVerdict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .causal import JointDistribution, _reduced
+from .causal import JointDistribution, _sides
 from .density import DensityMatrix, validate_density
 from .linalg import dagger, kron
 
@@ -27,13 +27,13 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     matrices and takes the real diagonal, clamped to nonnegative and
     renormalized, so the table is a probability table by construction and is
     not checked. Rows and columns follow descending marginal eigenvalues.
-    After qeci_infer on the same joint, both reduced densities come from the
-    joint's memo, so nothing is decomposed again.
+    Both reduced densities are decomposed together, by one hermitian_eig call
+    when they share a dimension. After qeci_infer on the same joint, both
+    come from the joint's memo, so nothing is decomposed again.
     """
     # stacklevel 3 names the line that called rotate_to_classical
-    vectors_a = _reduced(rho_ab, "A", stacklevel=3).eig.eigenvectors
-    vectors_b = _reduced(rho_ab, "B", stacklevel=3).eig.eigenvectors
-    u = kron(vectors_a, vectors_b)
+    reduced_a, reduced_b = _sides(rho_ab, ("A", "B"), 3)
+    u = kron(reduced_a.eig.eigenvectors, reduced_b.eig.eigenvectors)
     rotated = dagger(u) @ rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)
     table = diag.reshape(rho_ab.dims) / np.add.reduce(diag)

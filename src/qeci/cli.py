@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .causal import CausalVerdict, CauseSide, _cause_side, _score, qeci_infer
+from .causal import CausalVerdict, CauseSide, _cause_sides, _score, qeci_infer
 from .channels import ChannelSpec, _check_prob, qsc_computational
 from .classicalmap import diag_embed, rotate_to_classical
 from .coupling import greedy_min_entropy_coupling
@@ -195,7 +195,7 @@ def _branch_steps(label: str, side: CauseSide) -> list[str]:
 
 def cmd_demo(args) -> int:
     rho = qsc_computational(0.4, 0.05)
-    fwd, bwd = _cause_side(rho, "forward"), _cause_side(rho, "backward")
+    fwd, bwd = _cause_sides(rho)
     v = _score(fwd, bwd)
     steps = [
         f"reduced density of A = {_fmt_mat(fwd.reduced.mat)}",

@@ -13,6 +13,7 @@ from .linalg import (
     EigenDecomposition,
     _checked_hermitian,
     _smallest,
+    _stack,
     dagger,
     hermitian_eig,
     kron,
@@ -174,17 +175,23 @@ def _checked_psd(
     return _wrap(h, dims, eig, trace, tol)
 
 
-def _build_density(h: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-    """Decompose and wrap a reduced density of a validated joint.
+def _build_densities(hs: list[np.ndarray]) -> list[DensityMatrix]:
+    """Decompose and wrap reduced densities of a validated joint, all n by n.
 
     For causal._reduced, which reads the eigenkets at once. The partial
     trace of a validated joint is finite and exactly Hermitian with a trace
-    one to rounding, so hermitian_eig gets an infinite tolerance and
-    decomposes it as given, and the dims and trace checks are left out; the
-    PSD check, clamp and renormalization remain.
+    one to rounding, so their stack goes to one hermitian_eig call at an
+    infinite tolerance, decomposed as given, and the dims and trace checks
+    are left out; the PSD check, clamp and renormalization remain, per
+    density, in order.
     """
-    eig = hermitian_eig(h, herm_tol=math.inf)
-    return _wrap(h, dims, eig, complex(np.einsum("ii", h)), DEFAULT_TOL)
+    stack = _stack(hs)
+    eig = hermitian_eig(stack, herm_tol=math.inf)
+    traces = np.einsum("...ii", stack).tolist()
+    return [
+        _wrap(h, h.shape[:1], EigenDecomposition(values, vectors), trace, DEFAULT_TOL)
+        for h, trace, values, vectors in zip(hs, traces, eig.eigenvalues, eig.eigenvectors)
+    ]
 
 
 def _read_only(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
@@ -269,36 +276,43 @@ def star_product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return sandwich @ m @ sandwich
 
 
-def _conditional_blocks(
-    rho_joint: DensityMatrix,
-    kets: np.ndarray,
-    conditioned_side: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized conditionals of the kept side, one per column v_i of ``kets``.
+def _cause_first(rho_joint: DensityMatrix, conditioned_side: str) -> np.ndarray:
+    """The joint as a tensor r[c, k, c', l]: c, c' on the conditioned side, k, l on the kept side.
 
-    Block i is <v_i| rho |v_i> with bra and ket acting on the conditioned side
-    only: the i-th diagonal block of (V^dagger (x) I) rho (V (x) I), taken by
-    one matmul (ket side) and one diagonal einsum (bra side). Returns the
-    blocks stacked on axis 0 and their traces, the branch weights.
-
-    Raises ZeroProbabilityCondition when a weight is at most PROB_TOL.
+    ``conditioned_side`` "first" is the joint's own index order; "second" is
+    its transpose r.transpose(1, 0, 3, 2), a view.
     """
     if len(rho_joint.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_joint.dims}")
     dim_a, dim_b = rho_joint.dims
     r = rho_joint.mat.reshape(dim_a, dim_b, dim_a, dim_b)
     if conditioned_side == "second":
-        r = r.transpose(1, 0, 3, 2)
-    elif conditioned_side != "first":
+        return r.transpose(1, 0, 3, 2)
+    if conditioned_side != "first":
         raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
-    if kets.shape[0] != r.shape[0]:
+    return r
+
+
+def _conditional_blocks(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized conditionals of the kept side, one per column v_i of ``kets``.
+
+    ``r`` holds cause-first joint tensors (..., c, k, c', l) (see
+    _cause_first) and ``kets`` their ket columns (..., c, n), over the same
+    leading axes. Block i is <v_i| r |v_i> with bra and ket acting on the
+    conditioned side only: the i-th diagonal block of
+    (V^dagger (x) I) rho (V (x) I), taken for the whole stack by one matmul
+    (ket side) and one diagonal einsum (bra side). Returns the blocks
+    (..., n, k, k) and their traces (..., n), the branch weights.
+
+    Raises ZeroProbabilityCondition when a weight is at most PROB_TOL.
+    """
+    if kets.shape[-2] != r.shape[-4]:
         raise DimensionMismatch(
-            f"condition ket dimension {kets.shape[0]} != subsystem dimension {r.shape[0]}"
+            f"condition ket dimension {kets.shape[-2]} != subsystem dimension {r.shape[-4]}"
         )
-    # r[c, k, c', l]: c, c' on the conditioned side, k, l on the kept side
-    half = r.transpose(0, 1, 3, 2) @ kets  # half[c, k, l, i]
-    blocks = np.einsum("ckli,ci->ikl", half, kets.conj())
-    weights = np.einsum("ikk->i", blocks).real
+    half = r.swapaxes(-1, -2) @ kets[..., None, None, :, :]  # half[..., c, k, l, i]
+    blocks = np.einsum("...ckli,...ci->...ikl", half, kets.conj())
+    weights = np.einsum("...ikk->...i", blocks).real
     least = _smallest(weights)
     if least <= PROB_TOL:
         raise ZeroProbabilityCondition(
@@ -310,22 +324,26 @@ def _conditional_blocks(
 def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Descending spectra of the normalized blocks, one stacked ``eigvalsh``.
 
-    The blocks come from a validated joint, so they are Hermitian and PSD to
-    rounding; eigenvalues are clipped at zero and each spectrum renormalized
-    to sum to one. Raises EigenConvergenceError when LAPACK fails or returns
-    nan, as hermitian_eig does. The spectra come back read-only and are valid
+    ``blocks`` (..., n, k, k) and ``weights`` (..., n) as _conditional_blocks
+    returns them. The blocks come from a validated joint, so they are
+    Hermitian and PSD to rounding; eigenvalues are clipped at zero, when any
+    is not positive, and each spectrum renormalized to sum to one. Raises
+    EigenConvergenceError when LAPACK fails or returns nan, as hermitian_eig
+    does. The spectra (..., n, k) come back read-only and are valid
     probability rows, so callers need not check them.
     """
-    conditionals = blocks / weights[:, None, None]
-    adjoints = conditionals.conj().swapaxes(1, 2)
+    conditionals = blocks / weights[..., None, None]
+    adjoints = conditionals.conj().swapaxes(-1, -2)
     try:
-        values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[:, ::-1]
+        values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    if math.isnan(_smallest(values)):
+    least = _smallest(values)
+    if math.isnan(least):
         raise EigenConvergenceError("eigendecomposition returned nan eigenvalues")
-    values = np.maximum(values, 0.0)
-    spectra = values / np.add.reduce(values, axis=1, keepdims=True)
+    if least <= 0.0:  # an exact zero may be -0.0, which np.maximum makes +0.0
+        values = np.maximum(values, 0.0)
+    spectra = values / np.add.reduce(values, axis=-1, keepdims=True)
     spectra.setflags(write=False)
     return spectra
 
@@ -344,7 +362,8 @@ def instance_conditional(
     Raises ZeroProbabilityCondition when the outcome carries no probability
     mass, i.e. the pre-normalization trace is at most PROB_TOL.
     """
-    blocks, weights = _conditional_blocks(rho_joint, condition_ket.ket[:, None], conditioned_side)
+    r = _cause_first(rho_joint, conditioned_side)
+    blocks, weights = _conditional_blocks(r, condition_ket.ket[:, None])
     weight = weights.item(0)
     return validate_density(blocks[0] / weight, (blocks.shape[1],), DEFAULT_TOL / weight)
 

@@ -27,10 +27,11 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of each of a stack.
 
     ``eigenvalues`` is real and sorted in non-increasing order; column i of
     ``eigenvectors`` is the orthonormal eigenvector paired with eigenvalue i.
+    A stack (..., n, n) has eigenvalues (..., n) and eigenvectors (..., n, n).
     """
 
     eigenvalues: np.ndarray
@@ -74,12 +75,25 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(-1) if a.ndim == b.ndim == 1 else out.reshape(ra * rb, ca * cb)
 
 
-def _square(a: np.ndarray) -> np.ndarray:
-    """``a`` as a C-ordered complex array, once it is a square matrix."""
+def _square(a: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """``a`` as a C-ordered complex array, once it is a square matrix.
+
+    With ``stacked``, a stack of square matrices of shape (..., n, n), as
+    numpy's linalg takes them, passes too.
+    """
     a = np.asarray(a, dtype=complex, order="C")  # C order, so a.view(float) exists
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _stack(arrays) -> np.ndarray:
+    """Arrays of one shape stacked on a new axis 0; a view when there is only one.
+
+    ``np.array`` of the list stacks it as ``np.stack`` does, with less call
+    overhead (~1 µs against ~3.5 µs for two 2 x 2 matrices).
+    """
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _checked_hermitian(a: np.ndarray, herm_tol: float) -> np.ndarray:
@@ -113,13 +127,17 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     out. ``herm_tol=math.inf`` is for matrices the library built, which are
     finite and exactly Hermitian: only the shape is checked and ``a`` is
     decomposed as given (``eigh`` reads its lower triangle), so a non-finite
-    entry there surfaces as EigenConvergenceError. A nan or negative
-    ``herm_tol`` raises ValueError.
+    entry there surfaces as EigenConvergenceError. In that mode ``a`` may
+    also be a stack of shape (..., n, n), decomposed by one ``eigh`` call
+    into eigenvalues (..., n) and eigenvectors (..., n, n), each matrix
+    exactly as it would be on its own. A nan or negative ``herm_tol`` raises
+    ValueError.
 
     Returns eigenvalues sorted descending. Each eigenvector is rephased so its
     largest-magnitude component is real and positive, which pins the gauge
     for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
-    reports that the decomposition did not converge.
+    reports that the decomposition did not converge, for any matrix of a
+    stack.
     """
     if not herm_tol >= 0.0:  # nan fails too
         raise ValueError(f"herm_tol must be a number >= 0, got {herm_tol}")
@@ -128,7 +146,7 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
         # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
         a = 0.5 * a + 0.5 * a.conj().T
     else:
-        a = _square(a)
+        a = _square(a, stacked=True)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -136,12 +154,16 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     # eigh's scaling fails once some |a_ij| overflows, or an entry is not finite
     if values.size and math.isnan(_smallest(values)):
         raise EigenConvergenceError("eigendecomposition did not converge: eigh returned nan")
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1]
     if vectors.size:
-        pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
-        vectors = vectors * (pivots.conj() / np.abs(pivots))
-    return EigenDecomposition(eigenvalues=values, eigenvectors=np.ascontiguousarray(vectors))
+        n = vectors.shape[-1]
+        columns = vectors.swapaxes(-1, -2).reshape(-1, n)  # one row per eigenvector
+        # each eigenvector's component of largest modulus
+        pivots = columns[np.arange(len(columns)), np.abs(columns).argmax(axis=1)]
+        vectors = vectors * (pivots.conj() / np.abs(pivots)).reshape(*vectors.shape[:-2], 1, n)
+    return EigenDecomposition(
+        eigenvalues=values[..., ::-1].copy(),
+        eigenvectors=np.ascontiguousarray(vectors[..., ::-1]),
+    )
 
 
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, traced_side: str) -> np.ndarray:

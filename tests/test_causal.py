@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -25,8 +26,15 @@ from qeci.channels import (
 )
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.coupling import MarginalError
-from qeci.density import instance_conditional, pure_state, validate_density
-from qeci.linalg import dagger, hermitian_eig, kron, partial_trace, swap_subsystems
+from qeci.density import NotPSD, instance_conditional, pure_state, validate_density
+from qeci.linalg import (
+    EigenConvergenceError,
+    dagger,
+    hermitian_eig,
+    kron,
+    partial_trace,
+    swap_subsystems,
+)
 
 from _helpers import (
     random_density,
@@ -109,14 +117,44 @@ def test_verdict_score_decomposition():
     assert verdict.s_backward == verdict.s_cause_bwd + verdict.s_exo_bwd
 
 
-def test_swap_antisymmetry():
-    rho = qsc_computational(0.4, 0.05)
-    swapped = validate_density(swap_subsystems(rho.mat, 2, 2), (2, 2))
-    v1 = qeci_infer(rho)
-    v2 = qeci_infer(swapped)
+def _product_with_a_pure_side():
+    # side A is pure (one branch), side B mixed (two): the sides keep
+    # different branch counts. Diagonal, so that validate_density keeps it
+    # and its swap exactly as given (an eigenvalue computed at -1e-17 would
+    # have either rebuilt)
+    return validate_density(np.diag([0.3, 0.7, 0.0, 0.0]).astype(complex), (2, 2))
+
+
+_DEPOLARIZING = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+_MIRRORED = {Direction.A_TO_B: Direction.B_TO_A, Direction.B_TO_A: Direction.A_TO_B}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: qsc_computational(0.4, 0.05),
+        lambda: ChannelSpec("gqsc", q=0.4).joint(0.3),
+        lambda: ChannelSpec("depolarizing", q=0.4, **_DEPOLARIZING).joint(0.3),
+        lambda: bitflip_entangled(0.3),
+        lambda: random_density(np.random.default_rng(46), (3, 3)),
+        lambda: random_density(np.random.default_rng(47), (2, 4)),
+        lambda: random_density(np.random.default_rng(48), (4, 2)),
+        _product_with_a_pure_side,
+    ],
+    ids=["qsc", "gqsc", "depolarizing", "bitflip", "3x3", "2x4", "4x2", "pure-side-product"],
+)
+def test_swap_antisymmetry(build):
+    rho = build()
+    swapped = validate_density(swap_subsystems(rho.mat, *rho.dims), rho.dims[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        v1 = qeci_infer(rho)
+        v2 = qeci_infer(swapped)
     assert v1.s_forward == v2.s_backward
     assert v1.s_backward == v2.s_forward
-    assert v1.direction is Direction.A_TO_B and v2.direction is Direction.B_TO_A
+    assert (v1.s_cause_fwd, v1.s_exo_fwd) == (v2.s_cause_bwd, v2.s_exo_bwd)
+    assert (v1.s_cause_bwd, v1.s_exo_bwd) == (v2.s_cause_fwd, v2.s_exo_fwd)
+    assert v2.direction is _MIRRORED.get(v1.direction, Direction.TIE)
 
 
 def test_classical_eci_symmetric_channel_table():
@@ -413,12 +451,13 @@ def test_verdict_path_avoids_slow_numpy_idioms(monkeypatch):
 
 
 def _record_eig_inputs(monkeypatch) -> list:
-    """From now on, append (shape, bytes) of each matrix qeci hands hermitian_eig."""
+    """From now on, append (shape, bytes) of each matrix qeci hands hermitian_eig,
+    one entry per matrix of a stacked call."""
     seen = []
 
     def counting(a, *args, **kwargs):
         a = np.asarray(a, dtype=complex)
-        seen.append((a.shape, a.tobytes()))
+        seen.extend((m.shape, m.tobytes()) for m in a.reshape(-1, *a.shape[-2:]))
         return hermitian_eig(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -512,6 +551,65 @@ def test_library_built_densities_are_not_validated(monkeypatch, kind):
     del seen[:]
     qeci_infer(qeci.validate_density(mat, (4, 4)))
     assert validations == [(4, 4)] and len(seen) == 2
+
+
+def _pair_inputs():
+    rng = np.random.default_rng(49)
+    for d in (2, 3, 4):
+        for _ in range(5):
+            yield random_density(rng, (d, d))
+    for k in range(12):
+        eps = [1e-8, 1e-10, 1e-11][k % 3]
+        yield validate_density(small_branch_joint(rng, eps, k % 2 == 1), (2, 2))
+    yield bitflip_entangled(0.2)  # both sides maximally mixed
+    yield depolarizing_mixture(0.4, (0.6, 0.8), (2**-0.5, 2**-0.5), 0.75)  # side B degenerate
+    yield _product_with_a_pure_side()  # sides of one and two branches
+    yield random_density(rng, (2, 3))
+
+
+def test_stacked_pair_equals_each_side_alone():
+    # qeci_infer conditions both directions in one stacked pass; each side
+    # must be what a stack of one makes of it, bit for bit
+    for rho in _pair_inputs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            pair = causal._cause_sides(rho)
+            alone = [
+                causal._cause_side(dataclasses.replace(rho, _memo={}), direction)
+                for direction in ("forward", "backward")
+            ]
+        for stacked, single in zip(pair, alone):
+            for name in ("kets", "weights", "blocks"):
+                assert np.array_equal(getattr(stacked, name), getattr(single, name)), name
+            assert np.array_equal(stacked.rows.rows, single.rows.rows)
+            assert np.array_equal(stacked.reduced.mat, single.reduced.mat)
+            assert np.array_equal(stacked.reduced.eig.eigenvalues, single.reduced.eig.eigenvalues)
+            assert np.array_equal(stacked.reduced.eig.eigenvectors, single.reduced.eig.eigenvectors)
+
+
+def test_a_failing_pass_warns_and_raises_as_side_by_side():
+    # joints built around validate_density, so that one side fails: the
+    # stacked pass must warn and raise as the sides would one after another
+    base = validate_density(np.eye(4) / 4, (2, 2))
+    # side A is maximally mixed; side B's reduced density has eigenvalue -0.2
+    bad_b = dataclasses.replace(base, mat=np.diag([0.1, 0.4, -0.3, 0.8]).astype(complex), _memo={})
+    with pytest.warns(DegeneracyWarning, match="side A") as record:
+        with pytest.raises(NotPSD, match="-2.000e-01"):
+            qeci_infer(bad_b)
+    assert [w.filename for w in record] == [__file__]
+    # both sides maximally mixed; an infinite coherence between |00> and |11>
+    # leaves them finite but poisons every conditional: side A fails first,
+    # after its own warning, and side B never warns (numpy's own warnings
+    # about the inf are left aside)
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = m[3, 0] = np.inf
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(EigenConvergenceError):
+            qeci_infer(dataclasses.replace(base, mat=m, _memo={}))
+    record = [w for w in record if w.category is DegeneracyWarning]
+    assert len(record) == 1 and "side A" in str(record[0].message)
+    assert record[0].filename == __file__
 
 
 def test_reused_reduced_density_still_warns_at_the_caller():

@@ -16,6 +16,7 @@ from qeci.density import (
     TraceNotOne,
     ZeroProbabilityCondition,
     _block_spectra,
+    _cause_first,
     _conditional_blocks,
     instance_conditional,
     pure_state,
@@ -228,7 +229,7 @@ def test_conditional_blocks_reject_a_near_zero_branch(side):
     diag = [1.0 - 1e-13, 0.0, 1e-13, 0.0] if side == "first" else [1.0 - 1e-13, 1e-13, 0.0, 0.0]
     rho = validate_density(np.diag(diag).astype(complex), (2, 2))
     with pytest.raises(ZeroProbabilityCondition):
-        _conditional_blocks(rho, np.eye(2, dtype=complex), side)
+        _conditional_blocks(_cause_first(rho, side), np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("side", ["first", "second"])
@@ -238,7 +239,7 @@ def test_conditional_blocks_match_the_tensordot_route(side):
         rho = random_density(rng, dims)
         cond_dim = dims[0] if side == "first" else dims[1]
         kets = random_unitary(rng, cond_dim)
-        blocks, weights = _conditional_blocks(rho, kets, side)
+        blocks, weights = _conditional_blocks(_cause_first(rho, side), kets)
         ref_blocks, ref_weights = reference_conditional_blocks(rho, kets, side)
         assert blocks.shape == ref_blocks.shape
         assert np.abs(blocks - ref_blocks).max() <= 1e-15
@@ -277,6 +278,18 @@ def test_blocks_of_a_validated_joint_need_no_check():
             conditionals = side.blocks / side.weights[:, None, None]
             values = np.linalg.eigvalsh(0.5 * (conditionals + conditionals.conj().swapaxes(1, 2)))
             assert (values[:, 0] * side.weights).min() >= -1e-15
+
+
+def test_block_spectra_skip_only_a_clamp_that_changes_no_bit():
+    # _block_spectra clamps at zero only when some eigenvalue is not
+    # positive; the rows must equal those of an unconditional clamp, bit for bit
+    for rho in _validated_joints(np.random.default_rng(35)):
+        for side in causal._cause_sides(rho):
+            conditionals = side.blocks / side.weights[:, None, None]
+            hermitian = 0.5 * (conditionals + conditionals.conj().swapaxes(1, 2))
+            values = np.maximum(np.linalg.eigvalsh(hermitian)[:, ::-1], 0.0)
+            clamped = values / np.add.reduce(values, axis=1, keepdims=True)
+            assert side.rows.rows.tobytes() == clamped.tobytes()
 
 
 def _low_rank_density(rng, dims, rank) -> np.ndarray:
@@ -331,8 +344,8 @@ def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(m
     seen = []
 
     def recording(a, herm_tol=1e-9):
-        if herm_tol == math.inf:
-            seen.append(np.array(a))
+        if herm_tol == math.inf:  # one entry per matrix of a stack
+            seen.extend(np.array(a).reshape(-1, *np.shape(a)[-2:]))
         return hermitian_eig(a, herm_tol)
 
     monkeypatch.setattr(density_module, "hermitian_eig", recording)

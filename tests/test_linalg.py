@@ -142,6 +142,28 @@ def test_infinite_tolerance_decomposes_the_matrix_as_given(monkeypatch):
         hermitian_eig(np.zeros((2, 3), dtype=complex), herm_tol=math.inf)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 4), (2, 8), (2, 3, 5)])
+def test_infinite_tolerance_decomposes_a_stack_as_each_matrix_alone(shape):
+    # a stack (..., n, n) gets one eigh call; each matrix must come out as
+    # the 2-D call gives it, order and gauge included, degenerate ones too
+    *lead, n = shape
+    rng = np.random.default_rng(18 + n)
+    mats = [random_hermitian(rng, n) for _ in range(math.prod(lead))]
+    mats[0] = np.diag(np.repeat([0.25, 0.5], n)[:n]).astype(complex)  # repeated eigenvalues
+    stack = np.array(mats).reshape(*lead, n, n)
+    eig = hermitian_eig(stack, herm_tol=math.inf)
+    assert eig.eigenvalues.shape == (*lead, n) and eig.eigenvectors.shape == (*lead, n, n)
+    values = eig.eigenvalues.reshape(-1, n)
+    vectors = eig.eigenvectors.reshape(-1, n, n)
+    for k, a in enumerate(mats):
+        alone = hermitian_eig(a, herm_tol=math.inf)
+        assert values[k].tobytes() == alone.eigenvalues.tobytes()
+        assert vectors[k].tobytes() == alone.eigenvectors.tobytes()
+    # a finite tolerance checks one matrix at a time
+    with pytest.raises(DimensionMismatch):
+        hermitian_eig(stack, herm_tol=1e-9)
+
+
 @pytest.mark.parametrize("herm_tol", [math.nan, -1.0, -math.inf])
 def test_hermitian_eig_rejects_a_nan_or_negative_tolerance(herm_tol):
     # at nan no residual was computed; at -1.0 even the identity failed
