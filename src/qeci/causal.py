@@ -99,14 +99,14 @@ class CauseSide:
     rows: MarginalSet
 
 
-def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...]) -> list[DensityMatrix]:
-    """Reduced densities of sides ``labels``, each "A" or "B", all of one dimension.
+def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list[DensityMatrix]:
+    """Reduced densities of sides ``labels``, each "A" or "B", built once per joint.
 
-    Each is built on the first request for a joint, those built together
-    decomposed by one hermitian_eig call, and its eigen-gaps tested then;
-    both are kept in the joint's memo. They are not validated: the partial
-    trace of a validated joint is exactly Hermitian with a trace within
-    1e-15 of one. Does not warn; see _sides.
+    Sides not in the joint's memo are built unvalidated (the partial trace of
+    a validated joint is exactly Hermitian, its trace one within 1e-15): by
+    one hermitian_eig call when they share a dimension, else one per side.
+    Each is gap-tested and memoized; then each degenerate side warns, in side
+    order, at ``stacklevel`` counted from here.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
@@ -114,10 +114,17 @@ def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...]) -> list[DensityMatr
     missing = [label for label in labels if label not in memo]
     if missing:
         traced = [partial_trace(rho_ab.mat, *rho_ab.dims, _TRACED[label]) for label in missing]
-        for label, reduced in zip(missing, _build_densities(traced)):
+        same = len({h.shape for h in traced}) == 1
+        built = _build_densities(traced) if same else [_build_densities([h])[0] for h in traced]
+        for label, reduced in zip(missing, built):
             values = reduced.eig.eigenvalues
             gaps = values[:-1] - values[1:]
             memo[label] = (reduced, bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP)
+    for label in labels:
+        if memo[label][1]:
+            msg = f"reduced density of side {label} has near-degenerate eigenvalues; "
+            msg += "the conditioning eigenbasis is not unique"
+            warnings.warn(msg, DegeneracyWarning, stacklevel=stacklevel)
     return [memo[label][0] for label in labels]
 
 
@@ -152,71 +159,22 @@ def _condition(
     ]
 
 
-def _sides(
-    rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel: int, condition=None
-) -> list:
-    """Reduced densities of sides ``labels``, or ``condition(rho_ab, labels, reduced)``.
-
-    One result per side. When the sides share a dimension (both sides of a
-    d x d joint) they are computed in one stacked pass, and then each side
-    whose eigenbasis is not unique warns with DegeneracyWarning, in side
-    order, at ``stacklevel`` counted from here. Otherwise, or when the
-    stacked pass fails, the sides run one at a time, each warning once its
-    reduced density is built; the warnings and the error are then those of
-    that side-by-side pass, in which the first side to fail stops the rest.
-    (numpy's own floating-point warnings, which only a joint with
-    non-finite entries built around _wrap raises here, come from the failed
-    stacked attempt too.)
-    """
-    if len(labels) > 1 and len(set(rho_ab.dims)) == 1:
-        try:
-            out = _reduced(rho_ab, labels)
-            if condition is not None:
-                out = condition(rho_ab, labels, out)
-        except Exception:  # whatever it was, the side-by-side pass raises it again
-            pass
-        else:
-            for label in labels:
-                _warn(rho_ab, label, stacklevel + 1)
-            return out
-    out = []
-    for label in labels:
-        reduced = _reduced(rho_ab, (label,))
-        _warn(rho_ab, label, stacklevel + 1)
-        out += reduced if condition is None else condition(rho_ab, (label,), reduced)
-    return out
-
-
-def _warn(rho_ab: DensityMatrix, label: str, stacklevel: int) -> None:
-    """Warn, at ``stacklevel`` counted from here, if the eigenbasis of side
-    ``label``'s reduced density, already built, is not unique."""
-    if rho_ab._memo[label][1]:
-        warnings.warn(
-            f"reduced density of side {label} has near-degenerate eigenvalues; "
-            "the conditioning eigenbasis is not unique",
-            DegeneracyWarning,
-            stacklevel=stacklevel,
-        )
-
-
 def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
-    """Cause side of one direction, with all effect conditionals at once.
-
-    The stacked pass of _condition on a stack of one: the cause-side reduced
-    density is eigendecomposed once; its eigenkets above the branch floor are
-    the branches.
-    """
+    """Cause side of one direction, "forward" (A) or "backward" (B): _cause_sides on it."""
     label = {"forward": "A", "backward": "B"}.get(direction)
     if label is None:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     # stacklevel 4 names the line that called conditional_spectra
-    return _sides(rho_ab, (label,), 4, _condition)[0]
+    return _cause_sides(rho_ab, (label,), 4)[0]
 
 
-def _cause_sides(rho_ab: DensityMatrix) -> list[CauseSide]:
-    """Forward and backward cause sides, in one stacked pass for a d x d joint."""
-    # stacklevel 4 names the line that called qeci_infer
-    return _sides(rho_ab, ("A", "B"), 4, _condition)
+def _cause_sides(rho_ab: DensityMatrix, labels=("A", "B"), stacklevel=3) -> list[CauseSide]:
+    """Cause sides ``labels`` ("A" forward, "B" backward): _reduced, then _condition.
+
+    Warns at ``stacklevel`` counted from here; the first error stops the
+    pass.
+    """
+    return _condition(rho_ab, labels, _reduced(rho_ab, labels, stacklevel + 1))
 
 
 def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
@@ -234,11 +192,10 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
 
     Scores each direction by the entropy of the cause-side reduced density
     plus the greedily coupled entropy of the effect-side conditional spectra,
-    and prefers the smaller score. For a d x d joint both directions are
-    conditioned in one stacked pass: the two reduced densities are
-    decomposed by one hermitian_eig call, and both sides' conditionals taken
-    by one block contraction and one stacked eigvalsh; otherwise each side
-    is a stack of one.
+    and prefers the smaller score. One pass builds both reduced densities,
+    warns for each degenerate one, then conditions both sides: for a d x d
+    joint as one stack (one hermitian_eig call, one block contraction, one
+    stacked eigvalsh), else as stacks of one.
     """
     return _score(*_cause_sides(rho_ab), tie_tol)
 

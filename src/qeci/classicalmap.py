@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .causal import JointDistribution, _sides
+from .causal import JointDistribution, _reduced
 from .density import DensityMatrix, validate_density
 from .linalg import dagger, kron
 
@@ -27,12 +27,12 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     matrices and takes the real diagonal, clamped to nonnegative and
     renormalized, so the table is a probability table by construction and is
     not checked. Rows and columns follow descending marginal eigenvalues.
-    Both reduced densities are decomposed together, by one hermitian_eig call
-    when they share a dimension. After qeci_infer on the same joint, both
-    come from the joint's memo, so nothing is decomposed again.
+    Both reduced densities are built as qeci_infer builds them, then each
+    degenerate one warns; after qeci_infer on the same joint they come from
+    the joint's memo, so nothing is decomposed again.
     """
     # stacklevel 3 names the line that called rotate_to_classical
-    reduced_a, reduced_b = _sides(rho_ab, ("A", "B"), 3)
+    reduced_a, reduced_b = _reduced(rho_ab, ("A", "B"), 3)
     u = kron(reduced_a.eig.eigenvectors, reduced_b.eig.eigenvectors)
     rotated = dagger(u) @ rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)

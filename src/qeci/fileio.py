@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -31,7 +32,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # float() of a JSON integer beyond float range raises OverflowError
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
 
 def _entry(cell) -> complex:

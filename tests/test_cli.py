@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qeci.channels import qsc_computational
 from qeci.cli import main
@@ -15,7 +20,7 @@ from qeci.fileio import (
     load_table_file,
     table_to_csv,
 )
-from qeci.causal import JointDistribution
+from qeci.causal import DegeneracyWarning, JointDistribution
 from qeci.density import validate_density
 
 from _helpers import small_branch_joint
@@ -412,6 +417,115 @@ def test_embed_overflowing_table_is_one_error_line(tmp_path, capsys):
     path.write_text("[[1e308, 1e308], [0.5, 0.5]]", encoding="utf-8")
     err = _single_error_line(capsys, ["map-classical", "--input", str(path), "--mode", "embed"])
     assert err == "error: ValueError: joint table sums to inf, not 1\n"
+
+
+# a JSON integer with 401 digits: float() of it raises OverflowError
+_HUGE = 10**400
+_HUGE_DENSITY = {"dims": [2], "matrix": [[[_HUGE, 0], [0, 0]], [[0, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["infer", "--input"], _HUGE_DENSITY, "matrix entries must be [re, im] pairs"),
+        (["map-classical", "--mode", "rotate", "--input"], _HUGE_DENSITY,
+         "matrix entries must be [re, im] pairs"),
+        (["map-classical", "--mode", "embed", "--input"], [[_HUGE, 0], [0, 0]],
+         "table rows must hold only numbers"),
+        (["coupling", "--marginals"], [[_HUGE, 0], [0.5, 0.5]],
+         "probability rows must hold only numbers"),
+    ],
+    ids=["density-infer", "density-rotate", "table-embed", "marginal-rows"],
+)
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: {message}\n"
+
+
+def test_largest_float_as_an_integer_is_a_number(tmp_path, capsys):
+    # the largest integer that float() takes passes the parse and fails as a table
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([[int(sys.float_info.max), 0], [0, 0]]), encoding="utf-8")
+    assert main(["map-classical", "--input", str(path), "--mode", "embed"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: joint table sums to 1.7976931348623157e+308, not 1\n"
+
+
+_numbers = (
+    st.floats(allow_nan=True, allow_infinity=True)  # json writes NaN, Infinity, -Infinity
+    | st.integers(-2, 2)
+    | st.sampled_from([0.25, 0.5, 1.0, 10**20, int(sys.float_info.max), 2**1024, _HUGE, -_HUGE])
+)
+_leaves = _numbers | st.none() | st.booleans() | st.sampled_from(["", "0.5", "[]"])
+_dims = st.lists(st.sampled_from([0, -1, 1, 2, 3, 4, 10**6, _HUGE]), max_size=3)
+_cells = st.lists(_numbers, min_size=2, max_size=2) | st.lists(_leaves, max_size=3)
+_matrices = st.one_of(
+    [st.lists(st.lists(_cells, min_size=n, max_size=n), min_size=n, max_size=n) for n in range(5)]
+    + [st.lists(st.lists(_cells, max_size=4), max_size=4)]  # ragged
+)
+_arbitrary = st.one_of(
+    st.fixed_dictionaries({"dims": _dims | _leaves, "matrix": _matrices}),
+    st.lists(st.lists(_numbers, max_size=4), max_size=4),  # tables and marginal rows, ragged too
+    st.recursive(
+        _leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["dims", "matrix"]), inner, max_size=2),
+        max_leaves=12,
+    ),
+)
+_MIXED = {"dims": [2, 2], "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]}
+# each loader's argv, with well-formed documents it reads
+_LOADERS = {
+    ("infer", "--input"): [density_payload(qsc_computational(0.4, 0.05)), _MIXED],
+    ("map-classical", "--mode", "rotate", "--input"): [_MIXED],
+    ("map-classical", "--mode", "embed", "--input"): [[[0.1, 0.2], [0.3, 0.4]]],
+    ("coupling", "--marginals"): [[[0.5, 0.5], [0.9, 0.1], [1.0, 0.0]]],
+}
+
+
+@st.composite
+def _documents(draw, docs):
+    """Half the time one of ``docs`` with up to two leaves, and maybe its dims,
+    redrawn; else an arbitrary document."""
+    if draw(st.booleans()):
+        return draw(_arbitrary)
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))  # a deep copy
+    if isinstance(doc, dict) and draw(st.integers(0, 3)) == 0:
+        doc["dims"] = draw(_dims)
+    for _ in range(draw(st.integers(0, 2))):
+        node = doc["matrix"] if isinstance(doc, dict) else doc
+        while isinstance(node, list):
+            parent, i = node, draw(st.integers(0, len(node) - 1))
+            node = node[i]
+        parent[i] = draw(_numbers if draw(st.booleans()) else _leaves)
+    return doc
+
+
+_cases = st.one_of(
+    [st.tuples(st.just(argv), _documents(docs)) for argv, docs in _LOADERS.items()]
+)
+
+
+@settings(max_examples=300)
+@given(case=_cases)
+@example(case=(("infer", "--input"), _HUGE_DENSITY))
+def test_fuzz_loaders_through_main(tmp_path_factory, case):
+    # every document gives exit 0, 2, 3 or 4, never an exception (a raw numpy
+    # RuntimeWarning is one here), and a failure prints one error line
+    argv, doc = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            code = main([*argv, str(path)])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def _matrix_payload(mat) -> list:
