@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityMatrix, validate_density
-from .linalg import DimensionMismatch, _largest, _smallest, kron
+from .linalg import _largest, _smallest
 
 MASS_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -138,50 +136,3 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     coords.setflags(write=False)
     masses.setflags(write=False)
     return CouplingResult(entropy_bits=_entropy_bits(masses), coords=coords, masses=masses)
-
-
-def coupling_to_joint_density(
-    result: CouplingResult, eigvecs_per_marginal
-) -> DensityMatrix:
-    """Assemble the joint density whose placements ride on given orthonormal bases.
-
-    ``eigvecs_per_marginal`` holds one matrix per marginal, columns being that
-    marginal's orthonormal vectors; placement coordinates index those columns.
-    """
-    bases = [np.asarray(v, dtype=complex) for v in eigvecs_per_marginal]
-    dims = tuple(b.shape[0] for b in bases)
-    full_dim = math.prod(dims)
-    out = np.zeros((full_dim, full_dim), dtype=complex)
-    for coords, mass in result.placements:
-        if len(coords) != len(bases):
-            raise DimensionMismatch(
-                f"placement has {len(coords)} coordinates for {len(bases)} bases"
-            )
-        for k, j in enumerate(coords):
-            if not 0 <= j < bases[k].shape[1]:
-                raise DimensionMismatch(f"coordinate {j} out of range for basis {k}")
-        ket = reduce(kron, (bases[k][:, j] for k, j in enumerate(coords)))
-        out += mass * np.outer(ket, ket.conj())
-    return validate_density(out, dims)
-
-
-def bruteforce_coupling_2rows(p, q, grid_steps: int) -> float:
-    """Grid-search oracle for the minimum joint entropy of two 2-state marginals.
-
-    The 2x2 transportation polytope is the segment
-    t in [max(0, p0+q0-1), min(p0, q0)] with joint masses
-    (t, p0-t, q0-t, 1-p0-q0+t); the minimum entropy over a uniform grid of
-    grid_steps+1 points (endpoints included) is returned, in bits.
-    """
-    p, q = (np.asarray(row, dtype=float).reshape(1, -1) for row in (p, q))
-    for name, row in (("p", p), ("q", q)):
-        if row.shape[1] != 2:
-            raise MarginalError(f"{name} must have exactly 2 states")
-        _probability_rows(row, name, name, MarginalError)
-    p0, q0 = float(p[0, 0]), float(q[0, 0])
-    lo = max(0.0, p0 + q0 - 1.0)
-    hi = min(p0, q0)
-    ts = np.linspace(lo, hi, grid_steps + 1)
-    masses = np.maximum(np.stack([ts, p0 - ts, q0 - ts, 1.0 - p0 - q0 + ts]), 0.0)
-    logs = np.log2(masses, out=np.zeros_like(masses), where=masses > 0.0)  # 0 log 0 = 0
-    return float(np.min(-(masses * logs).sum(axis=0)))

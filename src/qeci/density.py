@@ -94,30 +94,6 @@ def pure_state(vec: np.ndarray, tol: float = DEFAULT_TOL) -> PureState:
     return PureState(ket=ket, dim=ket.shape[0])
 
 
-def z_plus() -> PureState:
-    return pure_state([1.0, 0.0])
-
-
-def z_minus() -> PureState:
-    return pure_state([0.0, 1.0])
-
-
-def x_plus() -> PureState:
-    return pure_state([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
-
-
-def x_minus() -> PureState:
-    return pure_state([1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)])
-
-
-def y_plus() -> PureState:
-    return pure_state([1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)])
-
-
-def y_minus() -> PureState:
-    return pure_state([1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)])
-
-
 def validate_density(
     mat: np.ndarray, dims, tol: float = DEFAULT_TOL
 ) -> DensityMatrix:

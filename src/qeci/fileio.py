@@ -52,13 +52,15 @@ def load_density_file(path: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise FileFormatError(f"{path}: expected an object with 'dims' and 'matrix'")
     dims = doc["dims"]
-    if not isinstance(dims, list) or not all(_is_int(d) and d > 0 for d in dims):
-        raise FileFormatError(f"{path}: 'dims' must be an array of positive integers")
+    if not isinstance(dims, list) or not dims or not all(_is_int(d) and d > 0 for d in dims):
+        raise FileFormatError(f"{path}: 'dims' must be a non-empty array of positive integers")
     raw = doc["matrix"]
     try:
         mat = np.array([[_entry(cell) for cell in row] for row in raw], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: matrix entries must be [re, im] pairs") from exc
+    if mat.size == 0:
+        raise FileFormatError(f"{path}: matrix is empty")
     if mat.ndim != 2:
         raise FileFormatError(f"{path}: matrix rows have unequal lengths")
     return validate_density(mat, dims, tol)

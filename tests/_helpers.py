@@ -6,9 +6,61 @@ import math
 
 import numpy as np
 
-from qeci import DensityMatrix, validate_density
+from qeci import (
+    DensityMatrix,
+    MarginalSet,
+    PureState,
+    pure_state,
+    shannon_entropy,
+    validate_density,
+)
 from qeci.density import TraceNotOne, _wrap
 from qeci.linalg import DimensionMismatch, hermitian_eig, partial_trace
+
+
+# The six single-qubit eigenstates of the Pauli operators, as named kets.
+
+
+def z_plus() -> PureState:
+    return pure_state([1.0, 0.0])
+
+
+def z_minus() -> PureState:
+    return pure_state([0.0, 1.0])
+
+
+def x_plus() -> PureState:
+    return pure_state([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
+
+
+def x_minus() -> PureState:
+    return pure_state([1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)])
+
+
+def y_plus() -> PureState:
+    return pure_state([1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)])
+
+
+def y_minus() -> PureState:
+    return pure_state([1.0 / math.sqrt(2.0), -1.0j / math.sqrt(2.0)])
+
+
+def exact_min_entropy_2rows(p, q) -> float:
+    """Minimum joint entropy, in bits, over all couplings of two 2-state rows.
+
+    The rows are checked by MarginalSet.from_rows. Their couplings form the
+    segment t in [max(0, p0+q0-1), min(p0, q0)] with joint masses
+    (t, p0-t, q0-t, 1-p0-q0+t); joint entropy is concave on it, so the
+    minimum is the smaller of the two endpoint entropies.
+    """
+    rows = MarginalSet.from_rows([p, q]).rows
+    if rows.shape != (2, 2):
+        raise ValueError(f"need two 2-state rows, got shape {rows.shape}")
+    p0, q0 = rows[:, 0].tolist()
+    ends = (max(0.0, p0 + q0 - 1.0), min(p0, q0))
+    return min(
+        shannon_entropy(np.maximum([t, p0 - t, q0 - t, 1.0 - p0 - q0 + t], 0.0)) for t in ends
+    )
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -25,27 +25,18 @@ from qeci.channels import (
 )
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.cli import main
-from qeci.coupling import (
-    MarginalSet,
-    bruteforce_coupling_2rows,
-    greedy_min_entropy_coupling,
-    shannon_entropy,
-)
-from qeci.density import (
-    instance_conditional,
-    pure_state,
-    spin_singlet,
-    validate_density,
-    x_plus,
-    z_plus,
-)
+from qeci.coupling import MarginalSet, greedy_min_entropy_coupling, shannon_entropy
+from qeci.density import instance_conditional, pure_state, spin_singlet, validate_density
 from qeci.linalg import dagger, kron, partial_trace, swap_subsystems
 
 from _helpers import (
+    exact_min_entropy_2rows,
     random_density,
     random_nondegenerate_density,
     random_nondegenerate_table,
     random_unitary,
+    x_plus,
+    z_plus,
 )
 
 P_GRID = [round(0.05 * k, 2) for k in range(1, 20)]
@@ -228,7 +219,7 @@ def test_criterion_06_structural_equation_forms():
 
 
 def test_criterion_07_coupling_oracle_bounds():
-    with criterion(7, "greedy coupling vs brute-force oracle on 200 random pairs"):
+    with criterion(7, "greedy coupling vs the exact two-row minimum on 200 random pairs"):
         rng = np.random.default_rng(1007)
         for _ in range(200):
             p = rng.dirichlet(np.ones(2))
@@ -236,8 +227,8 @@ def test_criterion_07_coupling_oracle_bounds():
             greedy = greedy_min_entropy_coupling(
                 MarginalSet.from_rows([p, q])
             ).entropy_bits
-            brute = bruteforce_coupling_2rows(p, q, 10000)
-            assert greedy <= brute + 1.0 + 1e-6
+            exact = exact_min_entropy_2rows(p, q)
+            assert greedy <= exact + 1.0 + 1e-6
             assert greedy >= max(shannon_entropy(p), shannon_entropy(q)) - 1e-9
         for _ in range(20):
             row = rng.dirichlet(np.ones(3))

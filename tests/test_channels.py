@@ -13,13 +13,14 @@ from qeci.channels import (
     qsc_computational,
     qsc_hadamard,
 )
-from qeci.density import validate_density, von_neumann_entropy
+from qeci.density import instance_conditional, validate_density, von_neumann_entropy
 from qeci.linalg import hermitian_eig, partial_trace
 
 from _helpers import (
     reference_depolarizing_component,
     reference_depolarizing_mixture,
     reference_qsc_hadamard,
+    z_plus,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -139,8 +140,6 @@ def test_bitflip_entangled_noiseless():
 
 
 def test_bitflip_entangled_conditional_matches_flip_mixture():
-    from qeci.density import instance_conditional, z_plus
-
     p = 0.25
     cond = instance_conditional(bitflip_entangled(p), z_plus(), "first")
     assert np.allclose(cond.mat, np.diag([1 - p, p]), atol=1e-12)

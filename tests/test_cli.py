@@ -45,11 +45,16 @@ def test_density_payload_shape():
     assert payload["matrix"][0][0] == [0.38, 0.0]
 
 
-def test_load_density_rejects_bad_json(tmp_path):
+def test_load_density_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(FileFormatError):
         load_density_file(str(path))
+    path.write_text(json.dumps({"dims": [2], "matrix": []}), encoding="utf-8")
+    with pytest.raises(FileFormatError, match="matrix is empty"):
+        load_density_file(str(path))
+    assert main(["infer", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: matrix is empty\n"
 
 
 def test_infer_report_worked_example(qsc_file, capsys):
@@ -88,7 +93,7 @@ def _write_density(tmp_path, edit) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("dims", [None, [[1]], [[2], [2]]])
+@pytest.mark.parametrize("dims", [None, [[1]], [[2], [2]], []])
 def test_infer_malformed_dims_exits_2(tmp_path, capsys, dims):
     path = _write_density(tmp_path, lambda payload: payload.update(dims=dims))
     assert main(["infer", "--input", path]) == 2

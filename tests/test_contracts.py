@@ -1,7 +1,7 @@
 """One check per contract: what each boundary check rejects, and with which error.
 
 The tables pin, for inputs that break exactly one contract, the exception
-class and message raised by the density-matrix check and by the four
+class and message raised by the density-matrix check and by the three
 probability-vector callers. A spy test checks that validate_density runs the
 finiteness and hermiticity checks once, and property tests fuzz every
 boundary check with extreme entries: each call returns an object that meets
@@ -24,7 +24,6 @@ from qeci import (
     JointDistribution,
     MarginalError,
     MarginalSet,
-    bruteforce_coupling_2rows,
     shannon_entropy,
     validate_density,
 )
@@ -98,7 +97,6 @@ CALLERS = {
     "from_rows": lambda r: MarginalSet.from_rows([[0.5, 0.5], r]),
     "from_table": lambda r: JointDistribution.from_table([r]),
     "shannon_entropy": shannon_entropy,
-    "bruteforce_coupling_2rows": lambda r: bruteforce_coupling_2rows([0.5, 0.5], r, 10),
 }
 
 BAD_ROWS = {
@@ -123,11 +121,6 @@ PROBABILITY_CASES = [
     ("shannon_entropy", "NaN", MarginalError, "probability vector contains non-finite entries"),
     ("shannon_entropy", "bad sum", MarginalError, "probability vector sums to 0.75, not 1"),
     ("shannon_entropy", "overflowing sum", MarginalError, "probability vector sums to inf, not 1"),
-    ("bruteforce_coupling_2rows", "negative", MarginalError,
-     "q has entry -1.000e-03 below -1.0e-12"),
-    ("bruteforce_coupling_2rows", "NaN", MarginalError, "q contains non-finite entries"),
-    ("bruteforce_coupling_2rows", "bad sum", MarginalError, "q sums to 0.75, not 1"),
-    ("bruteforce_coupling_2rows", "overflowing sum", MarginalError, "q sums to inf, not 1"),
 ]
 
 

@@ -12,17 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeci
+from qeci.causal import BRANCH_FLOOR, DegeneracyWarning, conditional_spectra
+from qeci.channels import depolarizing_mixture, qsc_hadamard
+from qeci.classicalmap import rotate_to_classical
 from qeci.coupling import (
     MarginalError,
     MarginalSet,
     Placement,
-    bruteforce_coupling_2rows,
-    coupling_to_joint_density,
     greedy_min_entropy_coupling,
     shannon_entropy,
 )
-from qeci.density import von_neumann_entropy
-from qeci.linalg import partial_trace
+
+from _helpers import exact_min_entropy_2rows
+
+FIG3_COMPONENTS = ((0.6, 0.8), (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))
 
 
 def test_shannon_entropy_worked_value():
@@ -52,7 +55,7 @@ def test_shannon_entropy_overflowing_sum_is_a_marginal_error():
 
 def test_oracle_rejects_nan_rows():
     with pytest.raises(MarginalError):
-        bruteforce_coupling_2rows([np.nan, np.nan], [0.5, 0.5], 10)
+        exact_min_entropy_2rows([np.nan, np.nan], [0.5, 0.5])
 
 def test_marginal_set_pads_and_clamps():
     ms = MarginalSet.from_rows([[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]])
@@ -191,24 +194,22 @@ def test_greedy_masses_sum_to_one():
 
 
 def test_bruteforce_uniform_pair():
-    assert bruteforce_coupling_2rows([0.5, 0.5], [0.5, 0.5], 1000) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert exact_min_entropy_2rows([0.5, 0.5], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bruteforce_forced_coupling():
     q = [0.3, 0.7]
-    assert bruteforce_coupling_2rows([1.0, 0.0], q, 100) == pytest.approx(
+    assert exact_min_entropy_2rows([1.0, 0.0], q) == pytest.approx(
         shannon_entropy(q), abs=1e-12
     )
 
 
 def test_bruteforce_matches_greedy_on_worked_pair():
     p = [0.05, 0.95]
-    brute = bruteforce_coupling_2rows(p, p, 10000)
+    exact = exact_min_entropy_2rows(p, p)
     greedy = greedy_min_entropy_coupling(MarginalSet.from_rows([p, p])).entropy_bits
-    assert brute == pytest.approx(0.2864, abs=5e-5)
-    assert greedy <= brute + 1e-9
+    assert exact == pytest.approx(0.2864, abs=5e-5)
+    assert greedy <= exact + 1e-9
 
 
 def test_greedy_within_one_bit_of_bruteforce():
@@ -217,33 +218,37 @@ def test_greedy_within_one_bit_of_bruteforce():
         p = rng.dirichlet(np.ones(2))
         q = rng.dirichlet(np.ones(2))
         greedy = greedy_min_entropy_coupling(MarginalSet.from_rows([p, q])).entropy_bits
-        brute = bruteforce_coupling_2rows(p, q, 10000)
-        assert greedy <= brute + 1.0 + 1e-6
+        exact = exact_min_entropy_2rows(p, q)
+        assert greedy <= exact + 1.0 + 1e-6
 
 
-def test_coupling_to_joint_single_placement():
-    result = greedy_min_entropy_coupling(MarginalSet.from_rows([[1.0, 0.0], [1.0, 0.0]]))
-    rho = coupling_to_joint_density(result, [np.eye(2), np.eye(2)])
-    assert np.allclose(rho.mat, np.diag([1.0, 0.0, 0.0, 0.0]))
-    assert rho.dims == (2, 2)
+def _paper_sweep_two_row_sets():
+    """Every two-row conditional set of the 19-point Hadamard (qsc_hadamard(0.4, p))
+    and depolarizing sweeps: both cause sides' spectra, and both directions of
+    the rotate_to_classical table's conditionals."""
+    sets = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        for p in [round(0.05 * k, 2) for k in range(1, 20)]:
+            for rho in (qsc_hadamard(0.4, p), depolarizing_mixture(0.4, *FIG3_COMPONENTS, p)):
+                sets += [conditional_spectra(rho, side).rows for side in ("forward", "backward")]
+                table = rotate_to_classical(rho).table
+                for t in (table, table.T):
+                    weights = t.sum(axis=1)
+                    sets.append(t[weights > BRANCH_FLOOR] / weights[weights > BRANCH_FLOOR, None])
+    return [rows for rows in sets if rows.shape == (2, 2)]
 
 
-def test_coupling_to_joint_worked_example():
-    result = greedy_min_entropy_coupling(MarginalSet.from_rows([[0.05, 0.95], [0.05, 0.95]]))
-    rho = coupling_to_joint_density(result, [np.eye(2), np.eye(2)])
-    # placements land on |11> (mass 0.95) and |00> (mass 0.05)
-    assert np.allclose(rho.mat, np.diag([0.05, 0.0, 0.0, 0.95]), atol=1e-12)
-
-
-def test_coupling_to_joint_entropy_and_marginals_match():
-    rng = np.random.default_rng(36)
-    rows = [rng.dirichlet(np.ones(2)) for _ in range(2)]
-    result = greedy_min_entropy_coupling(MarginalSet.from_rows(rows))
-    rho = coupling_to_joint_density(result, [np.eye(2), np.eye(2)])
-    assert von_neumann_entropy(rho) == pytest.approx(result.entropy_bits, abs=1e-9)
-    # each subsystem's reduced density carries that marginal on its basis
-    reduced = partial_trace(rho.mat, 2, 2, "B")
-    assert np.allclose(np.diag(reduced).real, rows[0], atol=1e-9)
+def test_greedy_is_exact_on_the_paper_sweeps_two_row_sets():
+    # greedy is only an upper bound in general; on these sets it is the minimum
+    sets = _paper_sweep_two_row_sets()
+    assert len(sets) == 152
+    gaps = [
+        greedy_min_entropy_coupling(MarginalSet.from_rows(rows)).entropy_bits
+        - exact_min_entropy_2rows(*rows)
+        for rows in sets
+    ]
+    assert max(map(abs, gaps)) <= 1e-9
 
 
 def _reference_greedy(rows: np.ndarray) -> tuple[list[tuple[int, ...]], list[float], float]:
@@ -274,6 +279,8 @@ def _dirichlet_rows(seed: int, shape) -> np.ndarray:
 REFERENCE_SETS = {
     **{f"dirichlet_{m}x{n}": _dirichlet_rows(41 + k, (m, n))
        for k, (m, n) in enumerate([(64, 64), (32, 128), (128, 32)])},
+    # the worked pair: (1, 1) with mass 0.95, then (0, 0) with 0.05
+    "worked_pair": [[0.05, 0.95], [0.05, 0.95]],
     "ragged": [np.random.default_rng(44).dirichlet(np.ones(w)) for w in (3, 7, 5, 2, 6)],
     # after the first round row 1 holds 0.125 beside two untouched 0.25 entries
     "dyadic_ties": [[0.375, 0.375, 0.25], [0.5, 0.25, 0.25]],

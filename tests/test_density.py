@@ -24,11 +24,6 @@ from qeci.density import (
     star_product,
     validate_density,
     von_neumann_entropy,
-    x_minus,
-    x_plus,
-    y_minus,
-    y_plus,
-    z_plus,
 )
 from qeci.linalg import NotHermitian, dagger, hermitian_eig, partial_trace, swap_subsystems
 
@@ -39,6 +34,11 @@ from _helpers import (
     reference_validate_density,
     skewed_density,
     small_branch_joint,
+    x_minus,
+    x_plus,
+    y_minus,
+    y_plus,
+    z_plus,
 )
 
 

@@ -2,17 +2,23 @@
 
 The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
 name, so each name it lists must resolve on the package; the README's
-library example must run as written."""
+library example must run as written; the package imports nothing beyond
+numpy and the standard library, and every name it exports resolves."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
 import io
 import re
+import sys
 from pathlib import Path
+
+import qeci
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "qeci"
 
 
 def _load_spans():
@@ -39,3 +45,22 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines()[-1] == "Direction.A_TO_B"
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    allowed = sys.stdlib_module_names | {"numpy", "qeci"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import stays inside qeci
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qeci.__all__ if not hasattr(qeci, name)]
+    assert not missing, missing
