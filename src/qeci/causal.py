@@ -28,9 +28,8 @@ from .linalg import DimensionMismatch, _smallest, _stack, partial_trace
 TIE_TOL = 1e-9
 BRANCH_FLOOR = 1e-12
 DEGENERACY_GAP = 1e-8
-# per cause side: the subsystem traced out of the joint, and the one conditioned
+# per cause side: the subsystem traced out of the joint
 _TRACED = {"A": "B", "B": "A"}
-_CONDITIONED = {"A": "first", "B": "second"}
 
 
 class DegeneracyWarning(UserWarning):
@@ -150,7 +149,7 @@ def _condition(
     if len(kets) > 1 and kets[0].shape != kets[1].shape:
         pairs = zip(labels, reduced)
         return [_condition(rho_ab, (label,), [density])[0] for label, density in pairs]
-    tensors = [_cause_first(rho_ab, _CONDITIONED[label]) for label in labels]
+    tensors = [_cause_first(rho_ab, label) for label in labels]
     blocks, weights = _conditional_blocks(_stack(tensors), _stack(kets))
     spectra = _block_spectra(blocks, weights)
     return [
@@ -201,13 +200,8 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
 
 
 def _score(fwd: CauseSide, bwd: CauseSide, tie_tol: float = TIE_TOL) -> CausalVerdict:
-    return _verdict(
-        von_neumann_entropy(fwd.reduced),
-        greedy_min_entropy_coupling(fwd.rows).entropy_bits,
-        von_neumann_entropy(bwd.reduced),
-        greedy_min_entropy_coupling(bwd.rows).entropy_bits,
-        tie_tol,
-    )
+    s_cause_fwd, s_cause_bwd = von_neumann_entropy(fwd.reduced), von_neumann_entropy(bwd.reduced)
+    return _verdict(s_cause_fwd, fwd.rows, s_cause_bwd, bwd.rows, tie_tol)
 
 
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:
@@ -225,22 +219,26 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     p_row = np.add.reduce(table, axis=1)
     p_col = np.add.reduce(table, axis=0)
     fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
-    fwd_rows = table[fwd] / p_row[fwd, None]
-    bwd_rows = table[:, bwd].T / p_col[bwd, None]
-    s_cause_fwd = _entropy_bits(p_row[p_row > 0.0])
-    s_cause_bwd = _entropy_bits(p_col[p_col > 0.0])
-    s_exo_fwd = greedy_min_entropy_coupling(MarginalSet(rows=fwd_rows)).entropy_bits
-    s_exo_bwd = greedy_min_entropy_coupling(MarginalSet(rows=bwd_rows)).entropy_bits
-    return _verdict(s_cause_fwd, s_exo_fwd, s_cause_bwd, s_exo_bwd, tie_tol)
+    return _verdict(
+        _entropy_bits(p_row[p_row > 0.0]),
+        MarginalSet(rows=table[fwd] / p_row[fwd, None]),
+        _entropy_bits(p_col[p_col > 0.0]),
+        MarginalSet(rows=table[:, bwd].T / p_col[bwd, None]),
+        tie_tol,
+    )
 
 
 def _verdict(
     s_cause_fwd: float,
-    s_exo_fwd: float,
+    rows_fwd: MarginalSet,
     s_cause_bwd: float,
-    s_exo_bwd: float,
+    rows_bwd: MarginalSet,
     tie_tol: float,
 ) -> CausalVerdict:
+    """Both scores, cause entropy plus coupled effect rows: the one coupling site."""
+    s_exo_fwd, s_exo_bwd = [
+        greedy_min_entropy_coupling(rows).entropy_bits for rows in (rows_fwd, rows_bwd)
+    ]
     s_forward = s_cause_fwd + s_exo_fwd
     s_backward = s_cause_bwd + s_exo_bwd
     if s_forward < s_backward - tie_tol:

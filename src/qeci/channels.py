@@ -52,23 +52,32 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}; expected one of {self.KINDS}")
-        _check_prob(self.q, "q")
+        # stored as the checks return them, floats, so joint(p) checks only p
+        object.__setattr__(self, "q", _check_prob(self.q, "q"))
         if self.kind == "depolarizing":
             if None in (self.gamma1, self.lambda1, self.gamma2, self.lambda2):
                 raise ValueError("depolarizing channel needs gamma1/lambda1/gamma2/lambda2")
-            _check_amplitude_pair(self.gamma1, self.lambda1)
-            _check_amplitude_pair(self.gamma2, self.lambda2)
+            pairs = _check_amplitude_pair(self.gamma1, self.lambda1)
+            pairs += _check_amplitude_pair(self.gamma2, self.lambda2)
+            for name, value in zip(("gamma1", "lambda1", "gamma2", "lambda2"), pairs):
+                object.__setattr__(self, name, value)
 
     def joint(self, p: float) -> DensityMatrix:
-        if self.kind == "qsc":
-            return qsc_computational(self.q, p)
-        if self.kind == "gqsc":
-            return qsc_hadamard(self.q, p)
+        """The family's two-qubit joint at error probability ``p``.
+
+        The depolarizing mixture q * A + (1 - q) * B of the two components'
+        matrices is wrapped once; the components are never wrapped. The
+        bit-flip pair is the computational channel at q = 1/2, whatever ``q``.
+        """
+        p = _check_prob(p, "p")
         if self.kind == "depolarizing":
-            return depolarizing_mixture(
-                self.q, (self.gamma1, self.lambda1), (self.gamma2, self.lambda2), p
-            )
-        return bitflip_entangled(p)
+            a = _depolarized(self.gamma1, self.lambda1, p)
+            b = _depolarized(self.gamma2, self.lambda2, p)
+            return _joint(self.q * a + (1.0 - self.q) * b)
+        w = _flip_weights(0.5 if self.kind == "bitflip" else self.q, p).reshape(-1)
+        if self.kind == "gqsc":
+            return _joint((_HADAMARD_PAIRS * w) @ _HADAMARD_PAIRS.T)
+        return _joint(np.diag(w))
 
 
 def _joint(m: np.ndarray) -> DensityMatrix:
@@ -95,24 +104,16 @@ def qsc_computational(q: float, p: float) -> DensityMatrix:
     the second qubit is flipped with probability p. Diagonal on the
     computational basis |00>, |01>, |10>, |11>.
     """
-    q = _check_prob(q, "q")
-    p = _check_prob(p, "p")
-    w = _flip_weights(q, p)
-    return _joint(np.diag(w.reshape(-1)))
+    return ChannelSpec("qsc", q).joint(p)
 
 
 def qsc_hadamard(q: float, p: float) -> DensityMatrix:
     """Phase-flip variant of the symmetric channel, correlated in the Hadamard basis."""
-    q = _check_prob(q, "q")
-    p = _check_prob(p, "p")
-    w = _flip_weights(q, p).reshape(-1)
-    return _joint((_HADAMARD_PAIRS * w) @ _HADAMARD_PAIRS.T)
+    return ChannelSpec("gqsc", q).joint(p)
 
 
 def _depolarized(gamma: float, lam: float, p: float) -> np.ndarray:
-    """The matrix of depolarizing_component, before it is wrapped."""
-    gamma, lam = _check_amplitude_pair(gamma, lam)
-    p = _check_prob(p, "p")
+    """The matrix of depolarizing_component, from checked values, before it is wrapped."""
     gg, gl, ll = gamma * gamma, gamma * lam, lam * lam
     # one ket per row: the product state, then its three Pauli-flipped images
     kets = np.array(
@@ -128,24 +129,18 @@ def depolarizing_component(gamma: float, lam: float, p: float) -> DensityMatrix:
     Mixes the untouched state with its phase-flipped, bit-flipped, and
     bit-phase-flipped images at weights (1-p, p/3, p/3, p/3).
     """
-    return _joint(_depolarized(gamma, lam, p))
+    return _joint(_depolarized(*_check_amplitude_pair(gamma, lam), _check_prob(p, "p")))
 
 
 def depolarizing_mixture(q: float, c1, c2, p: float) -> DensityMatrix:
-    """Convex mixture of two depolarizing components sharing the error rate p.
+    """Convex mixture q * A + (1 - q) * B of two depolarizing components sharing p.
 
-    The mixture q * A + (1 - q) * B of the two components' matrices is
-    wrapped once; the components are never wrapped, and the mixture is
-    decomposed only when its ``eig`` is read, or at once for a clamp.
+    The mixture is decomposed only when its ``eig`` is read, or at once for a
+    clamp.
     """
-    q = _check_prob(q, "q")
-    mixture = q * _depolarized(c1[0], c1[1], p) + (1.0 - q) * _depolarized(c2[0], c2[1], p)
-    return _joint(mixture)
+    return ChannelSpec("depolarizing", q, c1[0], c1[1], c2[0], c2[1]).joint(p)
 
 
 def bitflip_entangled(p: float) -> DensityMatrix:
     """Maximally correlated pair with its second qubit bit-flipped at rate p."""
-    p = _check_prob(p, "p")
-    half = 0.5
-    diag = [half * (1.0 - p), half * p, half * p, half * (1.0 - p)]
-    return _joint(np.diag(diag))
+    return ChannelSpec("bitflip").joint(p)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .causal import CausalVerdict, CauseSide, _cause_sides, _score, qeci_infer
+from .causal import CauseSide, _cause_sides, _score, qeci_infer
 from .channels import ChannelSpec, _check_prob, qsc_computational
 from .classicalmap import diag_embed, rotate_to_classical
 from .coupling import greedy_min_entropy_coupling
@@ -51,20 +51,6 @@ def _write_text(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _verdict_json(verdict: CausalVerdict) -> str:
-    return json.dumps(
-        {
-            "direction": verdict.direction.value,
-            "s_forward": verdict.s_forward,
-            "s_backward": verdict.s_backward,
-            "s_cause_fwd": verdict.s_cause_fwd,
-            "s_exo_fwd": verdict.s_exo_fwd,
-            "s_cause_bwd": verdict.s_cause_bwd,
-            "s_exo_bwd": verdict.s_exo_bwd,
-        }
-    )
-
-
 def _load_bipartite(args, use: str) -> DensityMatrix:
     rho = load_density_file(args.input, _resolve_tol(args))
     if len(rho.dims) != 2:
@@ -77,7 +63,8 @@ def _load_bipartite(args, use: str) -> DensityMatrix:
 def cmd_infer(args) -> int:
     verdict = qeci_infer(_load_bipartite(args, "inference"))
     if args.json:
-        print(_verdict_json(verdict))
+        # CausalVerdict's fields, in order, with the direction's value
+        print(json.dumps({**vars(verdict), "direction": verdict.direction.value}))
     else:
         print(
             f"{verdict.direction.arrow}  "

@@ -11,6 +11,7 @@ from .linalg import (
     DimensionMismatch,
     EigenConvergenceError,
     EigenDecomposition,
+    _bipartite,
     _checked_hermitian,
     _smallest,
     _stack,
@@ -252,21 +253,16 @@ def star_product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return sandwich @ m @ sandwich
 
 
-def _cause_first(rho_joint: DensityMatrix, conditioned_side: str) -> np.ndarray:
-    """The joint as a tensor r[c, k, c', l]: c, c' on the conditioned side, k, l on the kept side.
+def _cause_first(rho_joint: DensityMatrix, cause: str) -> np.ndarray:
+    """The joint as a tensor r[c, k, c', l]: c, c' on the ``cause`` side, k, l on the other.
 
-    ``conditioned_side`` "first" is the joint's own index order; "second" is
-    its transpose r.transpose(1, 0, 3, 2), a view.
+    ``cause`` "A" is the joint's own index order (see linalg._bipartite);
+    "B" is its transpose r.transpose(1, 0, 3, 2), a view.
     """
     if len(rho_joint.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_joint.dims}")
-    dim_a, dim_b = rho_joint.dims
-    r = rho_joint.mat.reshape(dim_a, dim_b, dim_a, dim_b)
-    if conditioned_side == "second":
-        return r.transpose(1, 0, 3, 2)
-    if conditioned_side != "first":
-        raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
-    return r
+    r = _bipartite(rho_joint.mat, *rho_joint.dims)
+    return r.transpose(1, 0, 3, 2) if cause == "B" else r
 
 
 def _conditional_blocks(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +334,10 @@ def instance_conditional(
     Raises ZeroProbabilityCondition when the outcome carries no probability
     mass, i.e. the pre-normalization trace is at most PROB_TOL.
     """
-    r = _cause_first(rho_joint, conditioned_side)
+    cause = {"first": "A", "second": "B"}.get(conditioned_side)
+    if cause is None:
+        raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
+    r = _cause_first(rho_joint, cause)
     blocks, weights = _conditional_blocks(r, condition_ket.ket[:, None])
     weight = weights.item(0)
     return validate_density(blocks[0] / weight, (blocks.shape[1],), DEFAULT_TOL / weight)

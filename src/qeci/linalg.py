@@ -166,18 +166,22 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     )
 
 
+def _bipartite(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """A matrix on C^dim_a (x) C^dim_b as r[a, b, a', b'], row (a, b) and column (a', b')."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim_a * dim_b,) * 2:
+        raise DimensionMismatch(
+            f"matrix shape {m.shape} incompatible with subsystem dims ({dim_a}, {dim_b})"
+        )
+    return m.reshape(dim_a, dim_b, dim_a, dim_b)
+
+
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, traced_side: str) -> np.ndarray:
     """Trace out one subsystem of a bipartite matrix on C^dim_a (x) C^dim_b.
 
     ``traced_side`` is "A" or "B"; the result lives on the remaining factor.
     """
-    rho = np.asarray(rho, dtype=complex)
-    d = dim_a * dim_b
-    if rho.shape != (d, d):
-        raise DimensionMismatch(
-            f"matrix shape {rho.shape} incompatible with subsystem dims ({dim_a}, {dim_b})"
-        )
-    r = rho.reshape(dim_a, dim_b, dim_a, dim_b)
+    r = _bipartite(rho, dim_a, dim_b)
     if traced_side == "B":
         return np.einsum("ikjk->ij", r)
     if traced_side == "A":
@@ -190,11 +194,5 @@ def swap_subsystems(rho_ab: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 
     Pure index permutation, hence an exact involution.
     """
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    d = dim_a * dim_b
-    if rho_ab.shape != (d, d):
-        raise DimensionMismatch(
-            f"matrix shape {rho_ab.shape} incompatible with subsystem dims ({dim_a}, {dim_b})"
-        )
-    r = rho_ab.reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.ascontiguousarray(r.transpose(1, 0, 3, 2)).reshape(d, d)
+    r = _bipartite(rho_ab, dim_a, dim_b).transpose(1, 0, 3, 2)
+    return np.ascontiguousarray(r).reshape((dim_a * dim_b,) * 2)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import sys
 import warnings
@@ -283,6 +285,37 @@ def test_verdict_paths_check_probabilities_once(monkeypatch):
     assert checks == []
     classical_eci(table)
     assert checks == ["joint table"]
+
+
+def test_causal_couples_at_one_site():
+    def sites(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "greedy_min_entropy_coupling"
+        ]
+
+    module = ast.parse(inspect.getsource(causal))
+    verdict = next(f for f in module.body if getattr(f, "name", None) == "_verdict")
+    assert len(sites(module)) == 1
+    assert sites(verdict) == sites(module)
+
+
+def test_each_verdict_couples_both_directions(monkeypatch):
+    calls = []
+    real_coupling = causal.greedy_min_entropy_coupling
+
+    def counting_coupling(marginals):
+        calls.append(marginals.rows.shape)
+        return real_coupling(marginals)
+
+    monkeypatch.setattr(causal, "greedy_min_entropy_coupling", counting_coupling)
+    qeci_infer(qsc_computational(0.4, 0.1))
+    assert calls == [(2, 2), (2, 2)]
+    cells = np.random.default_rng(23).dirichlet(np.ones(12)).reshape(3, 4)
+    classical_eci(JointDistribution.from_table(cells))
+    assert calls[2:] == [(3, 4), (4, 3)]
 
 
 @pytest.mark.parametrize(

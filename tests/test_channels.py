@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qeci import channels
 from qeci.causal import DegeneracyWarning, Direction, qeci_infer
 from qeci.channels import (
     ChannelSpec,
@@ -174,6 +175,37 @@ def test_channel_spec_routing_and_validation():
         ChannelSpec(kind="nope")
     with pytest.raises(ValueError):
         ChannelSpec(kind="depolarizing", q=0.4)
+
+
+def test_depolarizing_spec_checks_its_amplitudes_once(monkeypatch):
+    calls = []
+    real_check = channels._check_amplitude_pair
+
+    def counting_check(gamma, lam):
+        calls.append((gamma, lam))
+        return real_check(gamma, lam)
+
+    monkeypatch.setattr(channels, "_check_amplitude_pair", counting_check)
+    spec = ChannelSpec(
+        kind="depolarizing", q=0.4, gamma1=0.6, lambda1=0.8, gamma2=INV_SQRT2, lambda2=INV_SQRT2
+    )
+    assert calls == [(0.6, 0.8), (INV_SQRT2, INV_SQRT2)]
+    for p in (0.0, 0.3, 1.0):
+        spec.joint(p)
+    assert len(calls) == 2
+
+
+def _joint_bytes(rho):
+    """The joint's matrix and eigen-memo as bytes, the memo before and after ``eig`` is read."""
+    memo = rho._memo.get("eig")
+    kept = None if memo is None else (memo.eigenvalues.tobytes(), memo.eigenvectors.tobytes())
+    read = (rho.eig.eigenvalues.tobytes(), rho.eig.eigenvectors.tobytes())
+    return rho.mat.tobytes(), rho.dims, kept, read
+
+
+@pytest.mark.parametrize("p", [0.0, *[round(0.05 * k, 2) for k in range(1, 20)], 1.0])
+def test_bitflip_pair_is_the_computational_channel_at_half(p):
+    assert _joint_bytes(bitflip_entangled(p)) == _joint_bytes(qsc_computational(0.5, p))
 
 
 @pytest.mark.parametrize("slot", ["gamma1", "lambda1", "gamma2", "lambda2"])

@@ -199,6 +199,12 @@ def test_instance_conditional_matches_classical_conditioning_on_diagonals():
         assert np.allclose(cond.mat, np.diag(table[i] / table[i].sum()), atol=1e-12)
 
 
+def test_instance_conditional_rejects_an_unknown_side():
+    msg = "conditioned_side must be 'first' or 'second', got 'third'"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        instance_conditional(spin_singlet(), z_plus(), "third")
+
+
 def test_instance_conditional_zero_probability_branch():
     rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), (2, 2))
     with pytest.raises(ZeroProbabilityCondition):
@@ -223,13 +229,17 @@ def test_instance_conditional_equals_star_product_route(side):
         assert np.abs(instance_conditional(rho, v, side).mat - expected).max() <= 1e-12
 
 
+# instance_conditional's conditioned side, as the cause label _cause_first takes
+CAUSE = {"first": "A", "second": "B"}
+
+
 @pytest.mark.parametrize("side", ["first", "second"])
 def test_conditional_blocks_reject_a_near_zero_branch(side):
     # branch |1> on the conditioned side carries probability 1e-13 <= PROB_TOL
     diag = [1.0 - 1e-13, 0.0, 1e-13, 0.0] if side == "first" else [1.0 - 1e-13, 1e-13, 0.0, 0.0]
     rho = validate_density(np.diag(diag).astype(complex), (2, 2))
     with pytest.raises(ZeroProbabilityCondition):
-        _conditional_blocks(_cause_first(rho, side), np.eye(2, dtype=complex))
+        _conditional_blocks(_cause_first(rho, CAUSE[side]), np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("side", ["first", "second"])
@@ -239,7 +249,7 @@ def test_conditional_blocks_match_the_tensordot_route(side):
         rho = random_density(rng, dims)
         cond_dim = dims[0] if side == "first" else dims[1]
         kets = random_unitary(rng, cond_dim)
-        blocks, weights = _conditional_blocks(_cause_first(rho, side), kets)
+        blocks, weights = _conditional_blocks(_cause_first(rho, CAUSE[side]), kets)
         ref_blocks, ref_weights = reference_conditional_blocks(rho, kets, side)
         assert blocks.shape == ref_blocks.shape
         assert np.abs(blocks - ref_blocks).max() <= 1e-15
