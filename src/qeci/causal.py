@@ -9,7 +9,6 @@ from enum import Enum
 import numpy as np
 
 from .coupling import (
-    MarginalError,
     MarginalSet,
     _entropy_bits,
     _probability_rows,
@@ -49,17 +48,21 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint probability table; rows index the first variable."""
+    """Joint probability table; rows index the first variable. Checked when built
+    (ValueError), it keeps the table as floats clamped at zero, read-only."""
 
     table: np.ndarray
 
-    @classmethod
-    def from_table(cls, table) -> "JointDistribution":
-        t = np.asarray(table, dtype=float)
+    def __post_init__(self):
+        t = np.asarray(self.table, dtype=float)
         if t.ndim != 2:
             raise ValueError(f"joint table must be 2-D, got shape {t.shape}")
         flat = _probability_rows(t.reshape(1, -1), "joint table", "joint table", ValueError)
-        return cls(table=flat.reshape(t.shape))
+        object.__setattr__(self, "table", flat.reshape(t.shape))
+
+    @classmethod
+    def from_table(cls, table) -> "JointDistribution":
+        return cls(table=table)
 
 
 @dataclass(frozen=True)
@@ -158,22 +161,10 @@ def _condition(
     ]
 
 
-def _cause_side(rho_ab: DensityMatrix, direction: str) -> CauseSide:
-    """Cause side of one direction, "forward" (A) or "backward" (B): _cause_sides on it."""
-    label = {"forward": "A", "backward": "B"}.get(direction)
-    if label is None:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    # stacklevel 4 names the line that called conditional_spectra
-    return _cause_sides(rho_ab, (label,), 4)[0]
-
-
-def _cause_sides(rho_ab: DensityMatrix, labels=("A", "B"), stacklevel=3) -> list[CauseSide]:
+def _cause_sides(rho_ab: DensityMatrix, labels=("A", "B")) -> list[CauseSide]:
     """Cause sides ``labels`` ("A" forward, "B" backward): _reduced, then _condition.
-
-    Warns at ``stacklevel`` counted from here; the first error stops the
-    pass.
-    """
-    return _condition(rho_ab, labels, _reduced(rho_ab, labels, stacklevel + 1))
+    Warns at the line that called its caller; the first error stops the pass."""
+    return _condition(rho_ab, labels, _reduced(rho_ab, labels, 4))
 
 
 def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
@@ -183,7 +174,10 @@ def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
     above the branch floor, the effect side is conditioned on that eigenket
     and the conditional's eigenvalue spectrum (descending) becomes one row.
     """
-    return _cause_side(rho_ab, direction).rows
+    label = {"forward": "A", "backward": "B"}.get(direction)
+    if label is None:
+        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    return _cause_sides(rho_ab, (label,))[0].rows
 
 
 def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict:
@@ -207,15 +201,12 @@ def _score(fwd: CauseSide, bwd: CauseSide, tie_tol: float = TIE_TOL) -> CausalVe
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:
     """Classical counterpart of qeci_infer, scoring a joint probability table.
 
-    The table is checked once, as a probability vector (MarginalError), since
-    a JointDistribution built directly is not validated; the marginals and
-    conditionals derived from it are then trusted. Conditional rows whose
+    The table was checked when ``joint`` was built, so it and the marginals
+    and conditionals derived from it are trusted. Conditional rows whose
     cause state has marginal probability at the floor are skipped; their
     conditionals are undefined.
     """
-    cells = np.asarray(joint.table, dtype=float)
-    flat = _probability_rows(cells.reshape(1, -1), "joint table", "joint table", MarginalError)
-    table = flat.reshape(cells.shape)
+    table = joint.table
     p_row = np.add.reduce(table, axis=1)
     p_col = np.add.reduce(table, axis=0)
     fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DEFAULT_TOL, DensityMatrix, _checked_psd
+from .linalg import _hermitian_part
 
 PAIR_NORM_TOL = 1e-9
 # columns |+> and |->
@@ -88,8 +89,7 @@ def _joint(m: np.ndarray) -> DensityMatrix:
     within about 2 * PAIR_NORM_TOL, which _wrap renormalizes. Only the PSD
     check of validate_density runs, on the spectrum.
     """
-    m = np.asarray(m, dtype=complex)
-    h = 0.5 * m + 0.5 * m.conj().T
+    h = _hermitian_part(np.asarray(m, dtype=complex))
     return _checked_psd(h, (2, 2), complex(np.einsum("ii", h)), DEFAULT_TOL)
 
 

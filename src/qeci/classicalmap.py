@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .causal import JointDistribution, _reduced
-from .density import DensityMatrix, validate_density
+from .density import DensityMatrix, _density
 from .linalg import dagger, kron
 
 
@@ -13,11 +13,12 @@ def diag_embed(joint: JointDistribution) -> DensityMatrix:
     """Embed an m-by-n joint table as the diagonal of an (mn)-dim density.
 
     Entry (i, j) lands at diagonal slot i*n + j, so the subsystems inherit
-    the table's row/column marginals as their reduced densities.
+    the table's row/column marginals as their reduced densities. The table was
+    checked when built, so the diagonal is wrapped as validate_density wraps
+    it, with no check and no decomposition.
     """
-    table = joint.table
-    m, n = table.shape
-    return validate_density(np.diag(table.reshape(-1)).astype(complex), (m, n))
+    diagonal = np.diag(joint.table.reshape(-1)).astype(complex)
+    return _density(diagonal, joint.table.shape, known=True)
 
 
 def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
@@ -25,17 +26,15 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
 
     Conjugates by the tensor product of the reduced densities' eigenvector
     matrices and takes the real diagonal, clamped to nonnegative and
-    renormalized, so the table is a probability table by construction and is
-    not checked. Rows and columns follow descending marginal eigenvalues.
-    Both reduced densities are built as qeci_infer builds them, then each
-    degenerate one warns; after qeci_infer on the same joint they come from
-    the joint's memo, so nothing is decomposed again.
+    renormalized, as the table that JointDistribution checks. Rows and
+    columns follow descending marginal eigenvalues. Both reduced densities
+    are built as qeci_infer builds them, then each degenerate one warns;
+    after qeci_infer on the same joint they come from the joint's memo, so
+    nothing is decomposed again.
     """
     # stacklevel 3 names the line that called rotate_to_classical
     reduced_a, reduced_b = _reduced(rho_ab, ("A", "B"), 3)
     u = kron(reduced_a.eig.eigenvectors, reduced_b.eig.eigenvectors)
     rotated = dagger(u) @ rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)
-    table = diag.reshape(rho_ab.dims) / np.add.reduce(diag)
-    table.setflags(write=False)
-    return JointDistribution(table=table)
+    return JointDistribution(table=diag.reshape(rho_ab.dims) / np.add.reduce(diag))

@@ -83,6 +83,9 @@ def _p_grid(start: float, end: float, steps: int) -> list[float]:
 
 def cmd_sweep(args) -> int:
     try:
+        amps = [k for k in ("gamma1", "lambda1", "gamma2", "lambda2") if vars(args)[k] is not None]
+        if args.channel != "depolarizing" and amps:
+            raise ValueError(f"{args.channel} channel takes no amplitudes, got {'/'.join(amps)}")
         spec = ChannelSpec(
             kind=args.channel,
             q=args.q,

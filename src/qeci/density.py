@@ -9,10 +9,11 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
-    EigenConvergenceError,
     EigenDecomposition,
     _bipartite,
     _checked_hermitian,
+    _hermitian_part,
+    _lapack_eigh,
     _smallest,
     _stack,
     dagger,
@@ -119,12 +120,19 @@ def validate_density(
         raise DimensionMismatch(
             f"subsystem dims {dims} do not multiply to matrix dimension {m.shape[0]}"
         )
+    return _density(m, dims, tol)
+
+
+def _density(m: np.ndarray, dims, tol: float = DEFAULT_TOL, known: bool = False) -> DensityMatrix:
+    """validate_density's trace and PSD checks, then its wrap. A ``known`` density skips
+    the checks, not the trace and Hermitian part, so a subnormal entry halves to zero alike."""
     # einsum, unlike np.trace, sums huge diagonals to inf without a RuntimeWarning
     trace = complex(np.einsum("ii", m))
+    if known:
+        return _wrap(_hermitian_part(m), dims, None, trace, tol)
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
-    # halving before adding cannot overflow and gives 0.5 * (m + m^dagger) exactly
-    return _checked_psd(0.5 * m + 0.5 * m.conj().T, dims, trace, tol)
+    return _checked_psd(_hermitian_part(m), dims, trace, tol)
 
 
 def _checked_psd(
@@ -137,15 +145,9 @@ def _checked_psd(
     -``tol`` it raises NotPSD; in [-tol, 0) it is rounding noise, and only
     then is ``h`` decomposed, for _wrap's clamp and rebuild. Otherwise ``h``
     is wrapped without eigenvectors, which DensityMatrix.eig takes on read.
-    Raises EigenConvergenceError when LAPACK fails or returns nan.
+    LAPACK's failure raises EigenConvergenceError.
     """
-    try:
-        least = _smallest(np.linalg.eigvalsh(h))
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigvalsh's scaling fails once some |h_ij| overflows
-    if math.isnan(least):
-        raise EigenConvergenceError("eigendecomposition did not converge: eigvalsh returned nan")
+    least = _smallest(_lapack_eigh(h, vectors=False))
     if least < -tol:
         raise NotPSD(f"minimum eigenvalue {least:.3e} below -{tol:.1e}")
     eig = hermitian_eig(h, herm_tol=math.inf) if least < 0.0 else None
@@ -206,7 +208,7 @@ def _wrap(
             values = np.maximum(values, 0.0)
         if min_eig < 0.0:
             m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
-            h = 0.5 * m + 0.5 * m.conj().T
+            h = _hermitian_part(m)
             scale = np.trace(m).real
         memo["eig"] = _read_only(values / scale if scale != 1.0 else values, eig.eigenvectors)
     if scale != 1.0:
@@ -299,20 +301,13 @@ def _block_spectra(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     ``blocks`` (..., n, k, k) and ``weights`` (..., n) as _conditional_blocks
     returns them. The blocks come from a validated joint, so they are
     Hermitian and PSD to rounding; eigenvalues are clipped at zero, when any
-    is not positive, and each spectrum renormalized to sum to one. Raises
-    EigenConvergenceError when LAPACK fails or returns nan, as hermitian_eig
-    does. The spectra (..., n, k) come back read-only and are valid
-    probability rows, so callers need not check them.
+    is not positive, and each spectrum renormalized to sum to one. LAPACK's
+    failure raises EigenConvergenceError. The spectra (..., n, k) come back
+    read-only and are valid probability rows, so callers need not check them.
     """
-    conditionals = blocks / weights[..., None, None]
-    adjoints = conditionals.conj().swapaxes(-1, -2)
-    try:
-        values = np.linalg.eigvalsh(0.5 * (conditionals + adjoints))[..., ::-1]
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    conditionals = _hermitian_part(blocks / weights[..., None, None])
+    values = _lapack_eigh(conditionals, vectors=False)[..., ::-1]
     least = _smallest(values)
-    if math.isnan(least):
-        raise EigenConvergenceError("eigendecomposition returned nan eigenvalues")
     if least <= 0.0:  # an exact zero may be -0.0, which np.maximum makes +0.0
         values = np.maximum(values, 0.0)
     spectra = values / np.add.reduce(values, axis=-1, keepdims=True)

@@ -96,6 +96,25 @@ def _stack(arrays) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 * (a + a^dagger) over the last two axes, halved first so it cannot overflow."""
+    return 0.5 * a + 0.5 * a.conj().swapaxes(-1, -2)
+
+
+def _lapack_eigh(a: np.ndarray, vectors: bool = True):
+    """numpy's ``eigh``, or ``eigvalsh`` without ``vectors``, on a matrix or a stack. A
+    LinAlgError or a nan eigenvalue (some |a_ij| overflows) raises EigenConvergenceError."""
+    try:
+        out = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    values = out[0] if vectors else out
+    if values.size and math.isnan(_smallest(values)):
+        name = "eigh" if vectors else "eigvalsh"
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {name} returned nan")
+    return out
+
+
 def _checked_hermitian(a: np.ndarray, herm_tol: float) -> np.ndarray:
     """``a`` as a C-ordered complex array, once it is square, finite and Hermitian.
 
@@ -133,27 +152,17 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
     exactly as it would be on its own. A nan or negative ``herm_tol`` raises
     ValueError.
 
-    Returns eigenvalues sorted descending. Each eigenvector is rephased so its
+    Returns eigenvalues sorted descending, each eigenvector rephased so its
     largest-magnitude component is real and positive, which pins the gauge
-    for non-degenerate spectra. Raises EigenConvergenceError when LAPACK
-    reports that the decomposition did not converge, for any matrix of a
-    stack.
+    for non-degenerate spectra; LAPACK's failure raises EigenConvergenceError.
     """
     if not herm_tol >= 0.0:  # nan fails too
         raise ValueError(f"herm_tol must be a number >= 0, got {herm_tol}")
     if herm_tol < math.inf:
-        a = _checked_hermitian(a, herm_tol)
-        # halving before adding cannot overflow and gives 0.5 * (a + a^dagger) exactly
-        a = 0.5 * a + 0.5 * a.conj().T
+        a = _hermitian_part(_checked_hermitian(a, herm_tol))
     else:
         a = _square(a, stacked=True)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh's scaling fails once some |a_ij| overflows, or an entry is not finite
-    if values.size and math.isnan(_smallest(values)):
-        raise EigenConvergenceError("eigendecomposition did not converge: eigh returned nan")
+    values, vectors = _lapack_eigh(a)
     if vectors.size:
         n = vectors.shape[-1]
         columns = vectors.swapaxes(-1, -2).reshape(-1, n)  # one row per eigenvector

@@ -27,7 +27,6 @@ from qeci.channels import (
     qsc_hadamard,
 )
 from qeci.classicalmap import diag_embed, rotate_to_classical
-from qeci.coupling import MarginalError
 from qeci.density import NotPSD, instance_conditional, pure_state, validate_density
 from qeci.linalg import (
     EigenConvergenceError,
@@ -253,7 +252,7 @@ def test_joint_distribution_validation():
 
 @pytest.mark.parametrize("offset", [0.999e-9, -0.999e-9])
 def test_classical_eci_accepts_what_from_table_accepts(offset):
-    # classical_eci checks the table once, at from_table's own sum tolerance
+    # the table is checked once, when the JointDistribution is built, at from_table's tolerance
     rng = np.random.default_rng(21)
     for table in (np.full((2, 2), 0.25), rng.dirichlet(np.ones(12)).reshape(3, 4)):
         table = table / table.sum() * (1.0 + offset)
@@ -264,7 +263,6 @@ def test_classical_eci_accepts_what_from_table_accepts(offset):
 def test_verdict_paths_check_probabilities_once(monkeypatch):
     rho = qsc_computational(0.4, 0.1)
     cells = np.random.default_rng(22).dirichlet(np.ones(12)).reshape(3, 4)
-    table = JointDistribution.from_table(cells)
     checks = []
     real_check = coupling._probability_rows
 
@@ -281,10 +279,10 @@ def test_verdict_paths_check_probabilities_once(monkeypatch):
     monkeypatch.setattr(coupling, "shannon_entropy", unreachable)
     qeci_infer(rho)
     assert checks == []
-    rotate_to_classical(rho)  # clamps and normalizes its own table
-    assert checks == []
-    classical_eci(table)
+    rotate_to_classical(rho)  # its clamped, normalized table is checked when built
     assert checks == ["joint table"]
+    classical_eci(JointDistribution.from_table(cells))  # checked when built, not again
+    assert checks == ["joint table"] * 2
 
 
 def test_causal_couples_at_one_site():
@@ -327,11 +325,13 @@ def test_each_verdict_couples_both_directions(monkeypatch):
         np.zeros((2, 2)),
     ],
 )
-def test_classical_eci_rejects_an_unvalidated_table(table):
+def test_joint_distribution_construction_rejects_an_invalid_table(table):
+    # a JointDistribution checks itself, so classical_eci never sees such a table
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(MarginalError):
-            classical_eci(JointDistribution(table=np.array(table, dtype=float)))
+        with pytest.raises(ValueError) as info:
+            JointDistribution(table=np.array(table, dtype=float))
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize(
@@ -423,7 +423,7 @@ def test_small_branches_are_checked_at_their_own_scale(eps, pure_tau):
         # An independent contraction moves a branch of weight eps by ~1e-16 / eps
         # once normalized (up to 3e-5 bits of s_exo_fwd at eps = 1e-11), so the
         # forward coupling is checked from the blocks the verdict conditioned on.
-        fwd = causal._cause_side(rho, "forward")
+        fwd = causal._cause_sides(rho, ("A",))[0]
         got = [verdict.s_cause_fwd, verdict.s_exo_fwd, verdict.s_cause_bwd, verdict.s_exo_bwd]
         ref = [s_cause_fwd, _ref_block_entropy(fwd.blocks, fwd.weights), s_cause_bwd, s_exo_bwd]
         assert np.abs(np.subtract(got, ref)).max() <= 1e-8
@@ -608,8 +608,8 @@ def test_stacked_pair_equals_each_side_alone():
             warnings.simplefilter("ignore", DegeneracyWarning)
             pair = causal._cause_sides(rho)
             alone = [
-                causal._cause_side(dataclasses.replace(rho, _memo={}), direction)
-                for direction in ("forward", "backward")
+                causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
+                for label in ("A", "B")
             ]
         for stacked, single in zip(pair, alone):
             for name in ("kets", "weights", "blocks"):
@@ -644,9 +644,10 @@ def test_a_failing_pass_builds_then_warns_then_raises_once():
     # side order, and the one conditioning pass fails, with one numpy warning
     m = np.eye(4, dtype=complex) / 4
     m[0, 3] = m[3, 0] = np.inf
+    nan = "^eigendecomposition did not converge: eigvalsh returned nan$"
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        with pytest.raises(EigenConvergenceError, match="^eigendecomposition returned nan"):
+        with pytest.raises(EigenConvergenceError, match=nan):
             qeci_infer(dataclasses.replace(base, mat=m, _memo={}))
     degenerate = [(str(w.message), w.filename) for w in record if w.category is DegeneracyWarning]
     assert degenerate == [(_DEGENERATE.format("A"), __file__), (_DEGENERATE.format("B"), __file__)]

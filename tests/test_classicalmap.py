@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qeci import classicalmap
 from qeci.causal import DegeneracyWarning, Direction, JointDistribution, classical_eci
 from qeci.channels import depolarizing_mixture
 from qeci.classicalmap import diag_embed, rotate_to_classical
+from qeci.density import validate_density
 from qeci.linalg import partial_trace
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -35,6 +37,38 @@ def test_diag_embed_marginals_are_row_sums():
     assert np.allclose(
         partial_trace(rho.mat, 2, 3, "A"), np.diag(table.sum(axis=0)), atol=1e-12
     )
+
+
+def _density_bytes(rho):
+    eig = rho.eig
+    return rho.mat.tobytes(), rho.dims, eig.eigenvalues.tobytes(), eig.eigenvectors.tobytes()
+
+
+def test_diag_embed_wraps_the_checked_table_as_validate_density_would(monkeypatch):
+    # the table was checked when it was built, so diag_embed decomposes and
+    # checks nothing, and still makes validate_density's density bit for bit
+    rng = np.random.default_rng(63)
+    tables = [rng.dirichlet(np.ones(m * n)).reshape(m, n) for m, n in [(2, 2), (2, 3), (3, 2)]]
+    zeroed = rng.dirichlet(np.ones(16))
+    zeroed[[3, 10]] = 0.0
+    tables.append(zeroed.reshape(4, 4) / zeroed.sum())
+    # a subnormal cell, which the Hermitian part halves to zero
+    tables.append(np.array([[0.5, 5e-324], [0.25, 0.25]]))
+    joints = [JointDistribution.from_table(t) for t in tables]
+    expected = [
+        _density_bytes(validate_density(np.diag(j.table.reshape(-1)), j.table.shape))
+        for j in joints
+    ]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("diag_embed checked its table again")
+
+    # absent from classicalmap once diag_embed stops importing it
+    monkeypatch.setattr(classicalmap, "validate_density", unreachable, raising=False)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    embedded = [diag_embed(j) for j in joints]
+    monkeypatch.undo()
+    assert [_density_bytes(rho) for rho in embedded] == expected
 
 
 def test_rotate_recovers_diagonal_table_up_to_marginal_order():

@@ -299,15 +299,25 @@ def test_sweep_rejects_bad_channel_params(capsys):
         ["--p-start", "-0.1", "--p-end", "0.9"],
         ["--p-start", "0.1", "--p-end", "0.9", "--gamma1", "nan"],
         ["--p-start", "0.1", "--p-end", "0.9", "--lambda2", "nan"],
+        # amplitudes given to a family that takes none
+        ["--channel", "qsc", "--q", "0.4", "--p-start", "0.1", "--p-end", "0.2", "--steps", "2",
+         "--gamma1", "nan", "--lambda1", "7"],
+        ["--channel", "gqsc", "--q", "0.4", "--p-start", "0.1", "--p-end", "0.2", "--steps", "2",
+         "--lambda2", "0.8"],
+        ["--channel", "bitflip", "--p-start", "0.1", "--p-end", "0.2", "--steps", "2",
+         "--gamma2", "0.6", "--lambda2", "0.8"],
     ],
 )
 def test_sweep_rejects_bad_ends_and_amplitudes_with_one_line(capsys, flags):
-    amplitudes = {"--gamma1": "0.6", "--lambda1": "0.8", "--gamma2": "0.6", "--lambda2": "0.8"}
-    for flag in flags[::2]:
-        amplitudes.pop(flag, None)
-    argv = ["sweep", "--channel", "depolarizing", "--q", "0.4", "--steps", "3", *flags]
-    for flag, value in amplitudes.items():
-        argv += [flag, value]
+    if "--channel" in flags:  # a whole argv of its own
+        argv = ["sweep", *flags]
+    else:  # a depolarizing sweep, valid but for ``flags``
+        amplitudes = {"--gamma1": "0.6", "--lambda1": "0.8", "--gamma2": "0.6", "--lambda2": "0.8"}
+        for flag in flags[::2]:
+            amplitudes.pop(flag, None)
+        argv = ["sweep", "--channel", "depolarizing", "--q", "0.4", "--steps", "3", *flags]
+        for flag, value in amplitudes.items():
+            argv += [flag, value]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

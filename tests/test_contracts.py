@@ -96,6 +96,7 @@ def test_validate_density_single_contract_violations(matrix, dims, error, messag
 CALLERS = {
     "from_rows": lambda r: MarginalSet.from_rows([[0.5, 0.5], r]),
     "from_table": lambda r: JointDistribution.from_table([r]),
+    "JointDistribution": lambda r: JointDistribution(table=[r]),
     "shannon_entropy": shannon_entropy,
 }
 
@@ -116,6 +117,11 @@ PROBABILITY_CASES = [
     ("from_table", "NaN", ValueError, "joint table contains non-finite entries"),
     ("from_table", "bad sum", ValueError, "joint table sums to 0.75, not 1"),
     ("from_table", "overflowing sum", ValueError, "joint table sums to inf, not 1"),
+    ("JointDistribution", "negative", ValueError,
+     "joint table has entry -1.000e-03 below -1.0e-12"),
+    ("JointDistribution", "NaN", ValueError, "joint table contains non-finite entries"),
+    ("JointDistribution", "bad sum", ValueError, "joint table sums to 0.75, not 1"),
+    ("JointDistribution", "overflowing sum", ValueError, "joint table sums to inf, not 1"),
     ("shannon_entropy", "negative", MarginalError,
      "probability vector has entry -1.000e-03 below -1.0e-12"),
     ("shannon_entropy", "NaN", MarginalError, "probability vector contains non-finite entries"),

@@ -281,8 +281,8 @@ def test_blocks_of_a_validated_joint_need_no_check():
     # so each block is Hermitian and PSD to rounding at the joint's scale
     for rho in _validated_joints(np.random.default_rng(31)):
         assert np.array_equal(rho.mat, rho.mat.conj().T)
-        for direction in ("forward", "backward"):
-            side = causal._cause_side(rho, direction)
+        for label in ("A", "B"):
+            side = causal._cause_sides(rho, (label,))[0]
             skew = side.blocks - side.blocks.conj().swapaxes(1, 2)
             assert np.linalg.norm(skew, axis=(1, 2)).max() <= 1e-15
             conditionals = side.blocks / side.weights[:, None, None]

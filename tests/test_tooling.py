@@ -3,7 +3,8 @@
 The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
 name, so each name it lists must resolve on the package; the README's
 library example must run as written; the package imports nothing beyond
-numpy and the standard library, and every name it exports resolves."""
+numpy and the standard library, and every name it exports resolves. LAPACK's
+eigensolvers and the Hermitian part are each written at one site."""
 
 import ast
 import contextlib
@@ -64,3 +65,38 @@ def test_package_imports_only_numpy_and_the_standard_library():
 def test_every_exported_name_resolves():
     missing = [name for name in qeci.__all__ if not hasattr(qeci, name)]
     assert not missing, missing
+
+
+def _sites(predicate):
+    """(module, innermost enclosing function or None) of each src/qeci node ``predicate`` takes."""
+    found = []
+
+    def visit(node, module, function):
+        if predicate(node):
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return found
+
+
+def test_lapack_is_called_and_its_failures_mapped_in_linalg_only():
+    def lapack(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh", "LinAlgError")
+
+    sites = _sites(lapack)
+    assert sites and {module for module, _ in sites} == {"linalg.py"}, sites
+
+
+def test_the_hermitian_part_is_written_once():
+    # a product by 0.5 over a conjugate: 0.5 * a + 0.5 * a.conj().T, 0.5 * (a + a^dagger)
+    def halved_conjugate(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            return False
+        parts = list(ast.walk(node))
+        has_half = any(isinstance(n, ast.Constant) and n.value == 0.5 for n in parts)
+        return has_half and any(isinstance(n, ast.Attribute) and n.attr == "conj" for n in parts)
+
+    assert set(_sites(halved_conjugate)) == {("linalg.py", "_hermitian_part")}
