@@ -156,7 +156,7 @@ def _condition(
     blocks, weights = _conditional_blocks(_stack(tensors), _stack(kets))
     spectra = _block_spectra(blocks, weights)
     return [
-        CauseSide(density, kets[i], weights[i], blocks[i], MarginalSet(rows=spectra[i]))
+        CauseSide(density, kets[i], weights[i], blocks[i], MarginalSet._trusted(spectra[i]))
         for i, density in enumerate(reduced)
     ]
 
@@ -212,9 +212,9 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
     return _verdict(
         _entropy_bits(p_row[p_row > 0.0]),
-        MarginalSet(rows=table[fwd] / p_row[fwd, None]),
+        MarginalSet._trusted(table[fwd] / p_row[fwd, None]),
         _entropy_bits(p_col[p_col > 0.0]),
-        MarginalSet(rows=table[:, bwd].T / p_col[bwd, None]),
+        MarginalSet._trusted(table[:, bwd].T / p_col[bwd, None]),
         tie_tol,
     )
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +29,23 @@ class Placement(NamedTuple):
 
 @dataclass(frozen=True)
 class MarginalSet:
-    """Stack of probability vectors, zero-padded to a common length."""
+    """Stack of probability vectors, zero-padded to a common length. Checked when
+    built (MarginalError), it keeps the rows as C-ordered floats clamped at
+    zero, read-only."""
 
     rows: np.ndarray
+
+    def __post_init__(self):
+        try:
+            rows = np.ascontiguousarray(self.rows, dtype=float)
+        except ValueError as exc:  # ragged rows, or entries that are not numbers
+            msg = "marginal rows must be equal-length float rows; from_rows pads ragged rows"
+            raise MarginalError(msg) from exc
+        if rows.ndim != 2 or not rows.shape[0]:
+            msg = f"marginal rows must be a non-empty 2-D stack, got shape {rows.shape}"
+            raise MarginalError(msg)
+        rows = _probability_rows(rows, "marginal set", "row {}", MarginalError)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "MarginalSet":
@@ -40,7 +55,16 @@ class MarginalSet:
         padded = np.zeros((len(rows), max(r.shape[0] for r in rows)))
         for i, r in enumerate(rows):
             padded[i, : r.shape[0]] = r
-        return cls(rows=_probability_rows(padded, "marginal set", "row {}", MarginalError))
+        return cls(rows=padded)
+
+    @classmethod
+    def _trusted(cls, rows: np.ndarray) -> "MarginalSet":
+        """A set of rows the library built as probability vectors, kept unchecked
+        and made read-only."""
+        rows.setflags(write=False)
+        marginals = object.__new__(cls)
+        object.__setattr__(marginals, "rows", rows)
+        return marginals
 
 
 def _probability_rows(stack: np.ndarray, what: str, row_name: str, error: type) -> np.ndarray:
@@ -76,11 +100,22 @@ class CouplingResult:
 
     Row i of ``coords`` (ints, one column per marginal row) and ``masses[i]``
     (normalized) are the i-th placement, in the order the rounds placed them.
+    The entropy and masses are computed when the result is built; ``coords``
+    is replayed from the kept read-only rows on first read and cached.
     """
 
     entropy_bits: float
-    coords: np.ndarray
     masses: np.ndarray
+    _rows: np.ndarray = field(repr=False)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The placements' cells: the greedy rounds replayed once on the kept rows."""
+        picks = []
+        _greedy_rounds(self._rows, picks)
+        coords = np.array(picks)
+        coords.setflags(write=False)
+        return coords
 
     @property
     def placements(self) -> tuple[Placement, ...]:
@@ -100,24 +135,21 @@ def shannon_entropy(p) -> float:
     return _entropy_bits(arr[arr > 0.0])
 
 
-def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
-    """Greedy coupling: repeatedly place the smallest of the rows' current maxima.
+def _greedy_rounds(rows: np.ndarray, picks: list | None = None) -> tuple[list[float], float]:
+    """The greedy rounds on a copy of ``rows``: the masses in placement order and
+    their left-to-right total; each round's argmaxes go to ``picks`` when given.
 
     Each round takes every row's argmax over the full row (lowest index on
     ties) as flat cell indices, reads r as the smallest of those maxima (by
-    argmin, which returns the first nan if there is one), records one
-    placement of mass r there and subtracts r from them. Rounds stop once r
-    is not a finite mass above the floor, so a nan or inf r stops them
-    before any subtraction; the masses are then renormalized by their
-    sequential sum to absorb the floating-point residue. The rows are not
-    checked: a MarginalSet built directly is trusted to hold probability
-    vectors.
+    argmin, which returns the first nan if there is one), places mass r there
+    and subtracts r from them. Rounds stop once r is not a finite mass above
+    the floor, so a nan or inf r stops them before any subtraction.
     """
-    rows = np.array(marginals.rows, dtype=float, order="C")  # flat must view rows
+    rows = np.array(rows, dtype=float, order="C")  # flat must view rows
     flat = rows.reshape(-1)
     # step 1 at zero width, where argmax raises ValueError next
     offsets = np.arange(0, rows.size, rows.shape[1] or 1)
-    picks, masses = [], []
+    masses, total = [], 0.0
     while True:
         argmaxes = rows.argmax(axis=1)
         cells = argmaxes + offsets
@@ -126,13 +158,28 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
         if not MASS_FLOOR < r < math.inf:
             break
         flat[cells] = tops - r
-        picks.append(argmaxes)
+        if picks is not None:
+            picks.append(argmaxes)
         masses.append(r)
-    total = sum(masses)  # the masses are Python floats, summed in placement order
+        total += r  # not sum(masses), which compensates its rounding on Python >= 3.12
+    return masses, total
+
+
+def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
+    """Greedy coupling: repeatedly place the smallest of the rows' current maxima.
+
+    Runs the greedy rounds (see _greedy_rounds) once, keeping only the
+    masses, and renormalizes them by their left-to-right total to absorb the
+    floating-point residue; raises MarginalError when no round placed mass.
+    The result keeps ``marginals.rows`` and replays the rounds for its
+    ``coords`` only when they are first read, so a caller that reads only the
+    entropy pays for no placements. The rows are not checked again: a
+    MarginalSet checks them when built, and the library builds its own sets
+    only from probability rows.
+    """
+    masses, total = _greedy_rounds(marginals.rows)
     if not 0.0 < total < math.inf:  # no round placed mass, or the masses overflowed
         raise MarginalError("no probability mass to couple")
     masses = np.array(masses) / total
-    coords = np.array(picks)
-    coords.setflags(write=False)
     masses.setflags(write=False)
-    return CouplingResult(entropy_bits=_entropy_bits(masses), coords=coords, masses=masses)
+    return CouplingResult(entropy_bits=_entropy_bits(masses), masses=masses, _rows=marginals.rows)

@@ -373,7 +373,10 @@ def _ref_greedy_entropy(rows) -> float:
             break
         masses.append(r)
         rows[idx, top] -= r
-    return _ref_entropy(np.array(masses) / sum(masses))
+    total = 0.0
+    for m in masses:  # left to right, as the greedy loop totals them
+        total += m
+    return _ref_entropy(np.array(masses) / total)
 
 
 def _ref_scores(mat, dim_a, dim_b):

@@ -1,8 +1,8 @@
 """One check per contract: what each boundary check rejects, and with which error.
 
 The tables pin, for inputs that break exactly one contract, the exception
-class and message raised by the density-matrix check and by the three
-probability-vector callers. A spy test checks that validate_density runs the
+class and message raised by the density-matrix check and by each
+probability-vector caller. A spy test checks that validate_density runs the
 finiteness and hermiticity checks once, and property tests fuzz every
 boundary check with extreme entries: each call returns an object that meets
 its contract or raises a ValueError (or EigenConvergenceError), and never
@@ -95,6 +95,7 @@ def test_validate_density_single_contract_violations(matrix, dims, error, messag
 
 CALLERS = {
     "from_rows": lambda r: MarginalSet.from_rows([[0.5, 0.5], r]),
+    "MarginalSet": lambda r: MarginalSet(rows=[[0.5, 0.5], r]),
     "from_table": lambda r: JointDistribution.from_table([r]),
     "JointDistribution": lambda r: JointDistribution(table=[r]),
     "shannon_entropy": shannon_entropy,
@@ -113,6 +114,10 @@ PROBABILITY_CASES = [
     ("from_rows", "NaN", MarginalError, "marginal set contains non-finite entries"),
     ("from_rows", "bad sum", MarginalError, "row 1 sums to 0.75, not 1"),
     ("from_rows", "overflowing sum", MarginalError, "row 1 sums to inf, not 1"),
+    ("MarginalSet", "negative", MarginalError, "row 1 has entry -1.000e-03 below -1.0e-12"),
+    ("MarginalSet", "NaN", MarginalError, "marginal set contains non-finite entries"),
+    ("MarginalSet", "bad sum", MarginalError, "row 1 sums to 0.75, not 1"),
+    ("MarginalSet", "overflowing sum", MarginalError, "row 1 sums to inf, not 1"),
     ("from_table", "negative", ValueError, "joint table has entry -1.000e-03 below -1.0e-12"),
     ("from_table", "NaN", ValueError, "joint table contains non-finite entries"),
     ("from_table", "bad sum", ValueError, "joint table sums to 0.75, not 1"),
@@ -228,6 +233,15 @@ def test_fuzz_marginal_set_from_rows(rows):
     marginals = _returns_or_rejects(lambda: MarginalSet.from_rows(rows))
     if marginals is not None:
         assert _is_probability_stack(marginals.rows) and not marginals.rows.flags.writeable
+
+
+@settings(max_examples=300)
+@given(st.lists(_rows, max_size=4))
+def test_fuzz_marginal_set_built_directly(rows):
+    marginals = _returns_or_rejects(lambda: MarginalSet(rows=rows))
+    if marginals is not None:
+        assert _is_probability_stack(marginals.rows) and not marginals.rows.flags.writeable
+        assert marginals.rows.flags.c_contiguous
 
 
 @settings(max_examples=300)

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeci
+from qeci import coupling
 from qeci.causal import BRANCH_FLOOR, DegeneracyWarning, conditional_spectra
 from qeci.channels import depolarizing_mixture, qsc_hadamard
 from qeci.classicalmap import rotate_to_classical
+from qeci.cli import main as cli_main
 from qeci.coupling import (
     MarginalError,
     MarginalSet,
@@ -266,7 +268,9 @@ def _reference_greedy(rows: np.ndarray) -> tuple[list[tuple[int, ...]], list[flo
         masses.append(r)
         for i, j in enumerate(argmaxes):
             rows[i, j] -= r
-    total = sum(masses)
+    total = 0.0
+    for m in masses:
+        total += m
     masses = [m / total for m in masses]
     return coords, masses, -sum(m * math.log2(m) for m in masses)
 
@@ -320,24 +324,23 @@ import json, sys
 import numpy as np
 from qeci.coupling import MarginalError, MarginalSet, greedy_min_entropy_coupling
 try:
-    greedy_min_entropy_coupling(MarginalSet(rows=np.array(json.loads(sys.argv[1]))))
+    greedy_min_entropy_coupling(MarginalSet._trusted(np.array(json.loads(sys.argv[1]))))
 except MarginalError as exc:
     print(exc)
 """
 
+NON_FINITE_ROWS = [
+    [[math.nan, 1.0], [0.5, 0.5]],
+    [[0.5, 0.5], [1.0, math.nan]],
+    [[math.inf, math.inf]],  # the first round leaves inf - inf = nan
+    [[math.inf, 1.0], [math.inf, math.inf]],
+]
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[math.nan, 1.0], [0.5, 0.5]],
-        [[0.5, 0.5], [1.0, math.nan]],
-        [[math.inf, math.inf]],  # the first round leaves inf - inf = nan
-        [[math.inf, 1.0], [math.inf, math.inf]],
-    ],
-)
+
+@pytest.mark.parametrize("rows", NON_FINITE_ROWS)
 def test_greedy_on_unchecked_non_finite_rows_raises_instead_of_looping(rows):
-    # a directly built MarginalSet is not checked; the child process turns a
-    # loop that never ends into a timeout instead of a stalled suite
+    # rows built by the library are trusted unchecked; the child process turns
+    # a loop that never ends into a timeout instead of a stalled suite
     src = str(Path(qeci.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     # the child keeps the suite's warning filter, so a raw numpy warning fails it too
@@ -357,7 +360,128 @@ def test_greedy_stops_on_an_inf_top_before_subtracting():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MarginalError, match="no probability mass to couple"):
-            greedy_min_entropy_coupling(MarginalSet(rows=np.array([[math.inf, math.inf]])))
+            greedy_min_entropy_coupling(MarginalSet._trusted(np.array([[math.inf, math.inf]])))
+
+
+@pytest.mark.parametrize("rows", NON_FINITE_ROWS)
+def test_marginal_set_rejects_non_finite_rows_when_built(rows):
+    with pytest.raises(MarginalError, match="^marginal set contains non-finite entries$"):
+        MarginalSet(rows=np.array(rows))
+
+
+def test_marginal_set_rejects_a_row_summing_to_more_than_one_when_built():
+    with pytest.raises(MarginalError, match=r"^row 0 sums to 1\.8, not 1$"):
+        MarginalSet(rows=np.array([[0.9, 0.9], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 0.5], [0.5, 0.5, 0.0]], [0.5, 0.5], [], np.zeros((0, 2))])
+def test_marginal_set_rejects_rows_that_are_not_one_stack(rows):
+    # ragged rows are padded by from_rows; built directly they must already be a stack
+    with pytest.raises(MarginalError):
+        MarginalSet(rows=rows)
+
+
+def test_marginal_set_keeps_c_ordered_read_only_float_rows():
+    rows = np.asfortranarray([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
+    kept = MarginalSet(rows=rows).rows
+    assert kept.dtype == float and kept.flags.c_contiguous and not kept.flags.writeable
+    assert kept.tolist() == rows.tolist()
+
+
+def test_marginal_set_from_rows_checks_once(monkeypatch):
+    calls = []
+    real_check = coupling._probability_rows
+
+    def counting_check(*args):
+        calls.append(args[1])
+        return real_check(*args)
+
+    monkeypatch.setattr(coupling, "_probability_rows", counting_check)
+    MarginalSet.from_rows([[0.5, 0.5], [1.0]])
+    assert calls == ["marginal set"]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
+def test_greedy_renormalizes_by_the_left_to_right_total(name):
+    # not sum(masses), which compensates its rounding on Python >= 3.12
+    masses, total = coupling._greedy_rounds(MarginalSet.from_rows(REFERENCE_SETS[name]).rows)
+    loop_total = 0.0
+    for m in masses:
+        loop_total += m
+    assert total == loop_total
+    result = greedy_min_entropy_coupling(MarginalSet.from_rows(REFERENCE_SETS[name]))
+    assert result.masses.tobytes() == (np.array(masses) / loop_total).tobytes()
+
+
+def test_coords_are_replayed_once_and_cached():
+    result = greedy_min_entropy_coupling(MarginalSet.from_rows(REFERENCE_SETS["ragged"]))
+    assert "coords" not in vars(result)
+    first = result.coords
+    assert result.coords is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1
+
+
+def test_coords_ignore_a_later_change_to_the_coupled_array():
+    rows = np.array(REFERENCE_SETS["dirichlet_64x64"])
+    expected = greedy_min_entropy_coupling(MarginalSet.from_rows(rows.copy())).coords
+    result = greedy_min_entropy_coupling(MarginalSet(rows=rows))
+    rows[:] = rows[::-1, ::-1]
+    assert result.coords.tobytes() == expected.tobytes()
+    assert [list(p.coords) for p in result.placements] == expected.tolist()
+    assert len(expected) > 64
+
+
+def _picks_handed_to_the_rounds(monkeypatch, run) -> list:
+    """Whether each greedy round loop run under ``run()`` was handed a picks list."""
+    handed = []
+    real_rounds = coupling._greedy_rounds
+
+    def spying_rounds(rows, picks=None):
+        handed.append(picks is not None)
+        return real_rounds(rows, picks)
+
+    monkeypatch.setattr(coupling, "_greedy_rounds", spying_rounds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        run()
+    return handed
+
+
+def _cli(*argv):
+    assert cli_main(list(argv)) == 0
+
+
+_VERDICT_PATHS = {
+    "qeci_infer": lambda: qeci.qeci_infer(qsc_hadamard(0.4, 0.3)),
+    "classical_eci": lambda: qeci.classical_eci(
+        qeci.JointDistribution(table=_dirichlet_rows(45, (1, 12)).reshape(3, 4))
+    ),
+    "rotate_to_classical": lambda: qeci.classical_eci(
+        rotate_to_classical(depolarizing_mixture(0.4, *FIG3_COMPONENTS, 0.3))
+    ),
+    "qeci sweep": lambda: _cli(
+        "sweep", "--channel", "qsc", "--q", "0.4", "--p-start", "0.1", "--p-end", "0.9",
+        "--steps", "3",
+    ),
+    "qeci demo": lambda: _cli("demo"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_VERDICT_PATHS))
+def test_verdicts_never_ask_for_placements(monkeypatch, capsys, path):
+    handed = _picks_handed_to_the_rounds(monkeypatch, _VERDICT_PATHS[path])
+    assert handed and not any(handed)
+
+
+def test_the_coupling_command_replays_the_placements_once(monkeypatch, capsys, tmp_path):
+    marginals = tmp_path / "marginals.json"
+    marginals.write_text(json.dumps([[0.05, 0.95], [0.05, 0.95]]))
+    handed = _picks_handed_to_the_rounds(
+        monkeypatch, lambda: _cli("coupling", "--marginals", str(marginals))
+    )
+    assert handed == [False, True]
 
 
 # a row is either integer weights over their sum, or a cut of [0, 16] into
