@@ -46,7 +46,7 @@ class Direction(Enum):
         return {"AtoB": "A->B", "BtoA": "B->A", "Tie": "Tie"}[self.value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint probability table; rows index the first variable. Checked when built
     (ValueError), it keeps the table as floats clamped at zero, read-only."""
@@ -83,7 +83,7 @@ class CausalVerdict:
     s_exo_bwd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CauseSide:
     """One direction's conditioning: the cause side and its effect conditionals.
 

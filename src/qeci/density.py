@@ -39,7 +39,7 @@ class ZeroProbabilityCondition(ValueError):
     """Conditioning outcome has (numerically) zero probability."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix with subsystem dims.
 
@@ -54,7 +54,7 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...]
-    _memo: dict = field(repr=False, compare=False)
+    _memo: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -76,7 +76,7 @@ class DensityMatrix:
         return eig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm ket."""
 
@@ -219,9 +219,13 @@ def _wrap(
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the eigenvalue spectrum in bits, with 0 log 0 = 0."""
-    values = rho.eig.eigenvalues.tolist()  # Python floats: numpy's arithmetic, less overhead
-    s = -sum(v * math.log2(v) for v in values if v > ENTROPY_EIGENVALUE_FLOOR)
-    # max(0.0, -0.0) keeps the first argument, so a pure state gives +0.0
+    s = 0.0
+    # Python floats: numpy's arithmetic, less overhead; totalled left to right,
+    # not by sum(), which compensates its rounding on Python >= 3.12
+    for v in rho.eig.eigenvalues.tolist():
+        if v > ENTROPY_EIGENVALUE_FLOOR:
+            s -= v * math.log2(v)
+    # eigenvalues a rounding above one leave s just below zero
     return max(0.0, s)
 
 

@@ -25,7 +25,7 @@ class EigenConvergenceError(RuntimeError):
     """LAPACK's Hermitian eigensolver failed to converge (a numeric failure)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix, or of each of a stack.
 

@@ -27,8 +27,15 @@ from qeci import (
     shannon_entropy,
     validate_density,
 )
-from qeci.density import NotPSD, TraceNotOne
-from qeci.linalg import DimensionMismatch, EigenConvergenceError, NotHermitian, require_finite
+from qeci.causal import _cause_sides
+from qeci.density import NotPSD, TraceNotOne, pure_state
+from qeci.linalg import (
+    DimensionMismatch,
+    EigenConvergenceError,
+    NotHermitian,
+    hermitian_eig,
+    require_finite,
+)
 
 from _helpers import random_density
 
@@ -261,3 +268,24 @@ def test_fuzz_shannon_entropy(row):
     if entropy is not None:
         assert _is_probability_stack(np.maximum(row, 0.0))
         assert 0.0 <= entropy <= math.log2(len(row)) + 1e-12
+
+
+# Records holding arrays compare and hash by identity: compared field by field,
+# their arrays would make == raise on the truth value of an array, and hash()
+# raise on an unhashable ndarray.
+_ARRAY_RECORDS = {
+    "MarginalSet": lambda: MarginalSet.from_rows([[0.5, 0.5], [1.0]]),
+    "JointDistribution": lambda: JointDistribution(table=[[0.25, 0.25], [0.25, 0.25]]),
+    "DensityMatrix": lambda: validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2)),
+    "EigenDecomposition": lambda: hermitian_eig(np.diag([0.25, 0.75])),
+    "CauseSide": lambda: _cause_sides(validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2)))[0],
+    "PureState": lambda: pure_state([0.6, 0.8]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_records_holding_arrays_compare_and_hash_by_identity(name):
+    first, second = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2

@@ -433,20 +433,29 @@ def test_coords_ignore_a_later_change_to_the_coupled_array():
     assert len(expected) > 64
 
 
-def _picks_handed_to_the_rounds(monkeypatch, run) -> list:
-    """Whether each greedy round loop run under ``run()`` was handed a picks list."""
-    handed = []
-    real_rounds = coupling._greedy_rounds
+def _greedy_loops_run(monkeypatch, run) -> list[tuple[str, bool]]:
+    """Each greedy loop run under ``run()``: the numpy rounds or the heaps, by
+    name, and whether it was handed a picks list (the heaps take none)."""
+    runs = []
 
-    def spying_rounds(rows, picks=None):
-        handed.append(picks is not None)
-        return real_rounds(rows, picks)
+    def spying(name, real):
+        def loop(rows, *picks):
+            runs.append((name, bool(picks) and picks[0] is not None))
+            return real(rows, *picks)
 
-    monkeypatch.setattr(coupling, "_greedy_rounds", spying_rounds)
+        return loop
+
+    for name in ("_greedy_rounds", "_greedy_masses"):
+        monkeypatch.setattr(coupling, name, spying(name, getattr(coupling, name)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
         run()
-    return handed
+    return runs
+
+
+def _picks_handed_to_the_rounds(monkeypatch, run) -> list:
+    """Whether each greedy loop run under ``run()``, of either kind, was handed a picks list."""
+    return [handed for _, handed in _greedy_loops_run(monkeypatch, run)]
 
 
 def _cli(*argv):
@@ -514,3 +523,34 @@ def test_greedy_properties_on_small_ragged_sets(rows):
     assert [p.coords for p in result.placements] == coords
     assert [p.mass for p in result.placements] == ref_masses
     assert abs(result.entropy_bits - entropy) <= 1e-12
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(_weight_rows, _dyadic_rows), min_size=1, max_size=8))
+def test_the_heaps_give_the_masses_and_total_of_the_numpy_rounds(rows):
+    # with exact ties and zeros, the heaps may take another of equal maxima than argmax
+    rows = MarginalSet.from_rows(rows).rows
+    assert coupling._greedy_masses(rows) == coupling._greedy_rounds(rows)
+
+
+@pytest.mark.parametrize(
+    "nrows, loop",
+    [(1, "_greedy_masses"), (8, "_greedy_masses"), (9, "_greedy_rounds"), (64, "_greedy_rounds")],
+)
+def test_sets_of_more_than_eight_rows_take_the_numpy_rounds(monkeypatch, nrows, loop):
+    marginals = MarginalSet.from_rows(_dirichlet_rows(46, (nrows, 3)))
+    runs = _greedy_loops_run(monkeypatch, lambda: greedy_min_entropy_coupling(marginals))
+    assert runs == [(loop, False)]
+
+
+@pytest.mark.parametrize("rows", [*NON_FINITE_ROWS, np.zeros((2, 0))])
+def test_sets_the_heaps_cannot_couple_raise_as_under_the_numpy_rounds(monkeypatch, rows):
+    marginals = MarginalSet._trusted(np.array(rows, dtype=float))
+    with monkeypatch.context() as numpy_only:
+        numpy_only.setattr(coupling, "_HEAP_ROWS", 0)
+        with pytest.raises(ValueError) as expected:
+            greedy_min_entropy_coupling(marginals)
+    monkeypatch.setattr(coupling, "_greedy_masses", lambda rows: pytest.fail("heaps ran"))
+    with pytest.raises(ValueError) as got:
+        greedy_min_entropy_coupling(marginals)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))

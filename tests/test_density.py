@@ -110,6 +110,21 @@ def test_entropy_is_unitarily_invariant():
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-8
 
 
+def test_entropy_totals_its_terms_left_to_right():
+    # not by sum(), which compensates its rounding on Python >= 3.12: on these
+    # spectra of 16 x 16 Ginibre densities its bits would follow the interpreter
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        m = g @ g.conj().T
+        rho = validate_density(m / np.trace(m).real, (4, 4))
+        total = 0.0
+        for v in rho.eig.eigenvalues.tolist():
+            if v > density_module.ENTROPY_EIGENVALUE_FLOOR:
+                total += v * math.log2(v)
+        assert von_neumann_entropy(rho) == -total
+
+
 def test_star_product_with_identity_is_identity_map():
     rng = np.random.default_rng(22)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
