@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DEFAULT_TOL, DensityMatrix, _checked_psd
+from .density import DensityMatrix, _wrap
 from .linalg import _hermitian_part
 
 PAIR_NORM_TOL = 1e-9
@@ -86,11 +86,10 @@ def _joint(m: np.ndarray) -> DensityMatrix:
 
     Symmetrized once and not validated: weights in [0, 1] and amplitude pairs
     of unit norm within PAIR_NORM_TOL give a PSD matrix whose trace is one to
-    within about 2 * PAIR_NORM_TOL, which _wrap renormalizes. Only the PSD
-    check of validate_density runs, on the spectrum.
+    within about 2 * PAIR_NORM_TOL, which _wrap renormalizes. Only _wrap's
+    PSD check runs, on the spectrum.
     """
-    h = _hermitian_part(np.asarray(m, dtype=complex))
-    return _checked_psd(h, (2, 2), complex(np.einsum("ii", h)), DEFAULT_TOL)
+    return _wrap(_hermitian_part(np.asarray(m, dtype=complex)), (2, 2))
 
 
 def _flip_weights(q: float, p: float) -> np.ndarray:

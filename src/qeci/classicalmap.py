@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .causal import JointDistribution, _reduced
-from .density import DensityMatrix, _density
-from .linalg import dagger, kron
+from .density import DensityMatrix, _wrap
+from .linalg import _hermitian_part, dagger, kron
 
 
 def diag_embed(joint: JointDistribution) -> DensityMatrix:
@@ -14,11 +14,12 @@ def diag_embed(joint: JointDistribution) -> DensityMatrix:
 
     Entry (i, j) lands at diagonal slot i*n + j, so the subsystems inherit
     the table's row/column marginals as their reduced densities. The table was
-    checked when built, so the diagonal is wrapped as validate_density wraps
-    it, with no check and no decomposition.
+    checked when built, so its entries bound the spectrum below by zero: the
+    diagonal is wrapped as validate_density wraps it, with no check and no
+    decomposition.
     """
     diagonal = np.diag(joint.table.reshape(-1)).astype(complex)
-    return _density(diagonal, joint.table.shape, known=True)
+    return _wrap(_hermitian_part(diagonal), joint.table.shape, least=0.0)
 
 
 def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:

@@ -46,9 +46,12 @@ def _resolve_tol(args) -> float:
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _load_bipartite(args, use: str) -> DensityMatrix:

@@ -70,9 +70,8 @@ class DensityMatrix:
         """
         eig = self._memo.get("eig")
         if eig is None:
-            eig = hermitian_eig(self.mat, herm_tol=math.inf)  # mat is exactly Hermitian
-            values = np.maximum(eig.eigenvalues, 0.0)
-            eig = self._memo["eig"] = _read_only(values, eig.eigenvectors)
+            # mat is exactly Hermitian and passed the PSD check: no rebuild
+            eig = self._memo["eig"] = _settled(hermitian_eig(self.mat, herm_tol=math.inf))
         return eig
 
 
@@ -107,7 +106,7 @@ def validate_density(
     measured residual, and ValueError for a ``tol`` that is not a finite
     number >= 0. The matrix kept is the exactly Hermitian part of the input,
     which is the input itself when that is exactly Hermitian. Positivity is
-    checked on the spectrum alone (see _checked_psd): eigenvalues in
+    checked on the spectrum alone (see _wrap): eigenvalues in
     [-tol, 0) are treated as rounding noise, clamped to zero, the matrix is
     rebuilt, and the trace renormalized to one.
     """
@@ -120,38 +119,11 @@ def validate_density(
         raise DimensionMismatch(
             f"subsystem dims {dims} do not multiply to matrix dimension {m.shape[0]}"
         )
-    return _density(m, dims, tol)
-
-
-def _density(m: np.ndarray, dims, tol: float = DEFAULT_TOL, known: bool = False) -> DensityMatrix:
-    """validate_density's trace and PSD checks, then its wrap. A ``known`` density skips
-    the checks, not the trace and Hermitian part, so a subnormal entry halves to zero alike."""
     # einsum, unlike np.trace, sums huge diagonals to inf without a RuntimeWarning
     trace = complex(np.einsum("ii", m))
-    if known:
-        return _wrap(_hermitian_part(m), dims, None, trace, tol)
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
-    return _checked_psd(_hermitian_part(m), dims, trace, tol)
-
-
-def _checked_psd(
-    h: np.ndarray, dims: tuple[int, ...], trace: complex, tol: float
-) -> DensityMatrix:
-    """Wrap the exactly Hermitian ``h``, ``trace`` its trace, once its spectrum is PSD.
-
-    The PSD check of validate_density and of the channel joints: one
-    ``eigvalsh``, since the check reads only the smallest eigenvalue. Below
-    -``tol`` it raises NotPSD; in [-tol, 0) it is rounding noise, and only
-    then is ``h`` decomposed, for _wrap's clamp and rebuild. Otherwise ``h``
-    is wrapped without eigenvectors, which DensityMatrix.eig takes on read.
-    LAPACK's failure raises EigenConvergenceError.
-    """
-    least = _smallest(_lapack_eigh(h, vectors=False))
-    if least < -tol:
-        raise NotPSD(f"minimum eigenvalue {least:.3e} below -{tol:.1e}")
-    eig = hermitian_eig(h, herm_tol=math.inf) if least < 0.0 else None
-    return _wrap(h, dims, eig, trace, tol)
+    return _wrap(_hermitian_part(m), dims, tol, trace=trace)
 
 
 def _build_densities(hs: list[np.ndarray]) -> list[DensityMatrix]:
@@ -161,56 +133,76 @@ def _build_densities(hs: list[np.ndarray]) -> list[DensityMatrix]:
     trace of a validated joint is finite and exactly Hermitian with a trace
     one to rounding, so their stack goes to one hermitian_eig call at an
     infinite tolerance, decomposed as given, and the dims and trace checks
-    are left out; the PSD check, clamp and renormalization remain, per
-    density, in order.
+    are left out; _wrap's PSD check, clamp and renormalization remain.
     """
     stack = _stack(hs)
     eig = hermitian_eig(stack, herm_tol=math.inf)
     traces = np.einsum("...ii", stack).tolist()
     return [
-        _wrap(h, h.shape[:1], EigenDecomposition(values, vectors), trace, DEFAULT_TOL)
+        _wrap(h, h.shape[:1], eig=EigenDecomposition(values, vectors), trace=trace)
         for h, trace, values, vectors in zip(hs, traces, eig.eigenvalues, eig.eigenvectors)
     ]
 
 
-def _read_only(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+def _require_psd(least: float, tol: float) -> None:
+    """The PSD rule: a smallest eigenvalue ``least`` below -``tol`` raises NotPSD."""
+    if least < -tol:
+        raise NotPSD(f"minimum eigenvalue {least:.3e} below -{tol:.1e}")
+
+
+def _settled(eig: EigenDecomposition, scale: float = 1.0) -> EigenDecomposition:
+    """``eig`` as a density keeps it: its descending eigenvalues clamped at zero
+    and divided by ``scale``, both arrays read-only. They must be fresh arrays."""
+    values = eig.eigenvalues
+    # an exact zero may be -0.0, which np.maximum makes +0.0
+    if values.size and values[-1] <= 0.0:
+        values = np.maximum(values, 0.0)
+    if scale != 1.0:
+        values = values / scale
     values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    eig.eigenvectors.setflags(write=False)
+    return EigenDecomposition(eigenvalues=values, eigenvectors=eig.eigenvectors)
 
 
 def _wrap(
     h: np.ndarray,
     dims: tuple[int, ...],
-    eig: EigenDecomposition | None,
-    trace: complex,
-    tol: float,
+    tol: float = DEFAULT_TOL,
+    eig: EigenDecomposition | None = None,
+    least: float | None = None,
+    trace: complex | None = None,
 ) -> DensityMatrix:
-    """Wrap the exactly Hermitian ``h``, ``trace`` its trace.
+    """The one constructor of a DensityMatrix: wrap the exactly Hermitian ``h``.
 
-    ``eig`` decomposes ``h``, or is None when ``h`` is known to be PSD and
-    the density takes its decomposition on read. Eigenvalues below -``tol``
-    raise NotPSD. Those in [-tol, 0) are clamped to zero, the matrix
-    rebuilt, and the trace renormalized to one, as is a trace off one by
-    more than 1e-15. ``h`` and ``eig`` must be fresh arrays that no caller
-    keeps: a step that would leave them as they are is skipped, so they may
-    become the density's own read-only ``mat`` and ``eig``.
+    Callers hand over what they already have: ``eig``, a decomposition of
+    ``h``; ``least``, a lower bound on its spectrum; ``trace``, that of ``h``
+    or of the input ``h`` is the Hermitian part of. With neither ``eig`` nor ``least``,
+    one ``eigvalsh`` reads the smallest eigenvalue. Below -``tol`` it raises
+    NotPSD. In [-tol, 0) it is rounding noise: ``h`` is decomposed, its
+    eigenvalues clamped to zero, the matrix rebuilt, and the trace
+    renormalized to one, as is a trace off one by more than 1e-15. ``h`` and
+    ``eig`` must be fresh arrays that no caller keeps, so they may become the
+    density's own read-only ``mat`` and ``eig`` (else taken on read).
     """
+    if eig is None and least is None:
+        least = _smallest(_lapack_eigh(h, vectors=False))
+        if -tol <= least < 0.0:  # rounding noise: decompose, to clamp
+            eig = hermitian_eig(h, herm_tol=math.inf)
+    if eig is not None:
+        least = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
+    _require_psd(least, tol)
+    if trace is None:
+        trace = complex(np.einsum("ii", h))
     # accepted within tol; hand downstream code an exactly unit-trace matrix
     scale = trace.real if abs(trace - 1.0) > 1e-15 else 1.0
     memo = {}
     if eig is not None:
-        values = eig.eigenvalues
-        min_eig = float(values[-1]) if values.size else 0.0
-        if min_eig < -tol:
-            raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol:.1e}")
-        if min_eig <= 0.0:  # an exact zero may be -0.0, which np.maximum makes +0.0
-            values = np.maximum(values, 0.0)
-        if min_eig < 0.0:
-            m = (eig.eigenvectors * values) @ dagger(eig.eigenvectors)
+        if least < 0.0:  # rebuild from the clamped spectrum
+            eig = _settled(eig)
+            m = (eig.eigenvectors * eig.eigenvalues) @ dagger(eig.eigenvectors)
             h = _hermitian_part(m)
             scale = np.trace(m).real
-        memo["eig"] = _read_only(values / scale if scale != 1.0 else values, eig.eigenvectors)
+        memo["eig"] = _settled(eig, scale)
     if scale != 1.0:
         h = h / scale
     h.setflags(write=False)
@@ -234,8 +226,7 @@ def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     # Idempotent input (a projector) is its own PSD square root.
     if np.linalg.norm(n @ n - n) <= 1e-12 * max(1.0, np.linalg.norm(n)):
         return n
-    if eig.eigenvalues[-1] < -tol:
-        raise NotPSD(f"minimum eigenvalue {eig.eigenvalues[-1]:.3e} below -{tol:.1e}")
+    _require_psd(eig.eigenvalues[-1], tol)
     roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
     return (eig.eigenvectors * roots) @ dagger(eig.eigenvectors)
 

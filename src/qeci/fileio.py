@@ -23,7 +23,8 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # also bytes that are not UTF-8, and nesting past the parser's recursion limit
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -217,4 +217,4 @@ def reference_validate_density(mat, dims, tol: float = 1e-9) -> DensityMatrix:
     trace = complex(np.einsum("ii", m))
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
-    return _wrap(0.5 * m + 0.5 * m.conj().T, dims, eig, trace, tol)
+    return _wrap(0.5 * m + 0.5 * m.conj().T, dims, tol, eig=eig, trace=trace)

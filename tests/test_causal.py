@@ -686,3 +686,40 @@ def test_stacked_spectra_equal_per_branch_conditionals(dims, direction, side, tr
     stacked = conditional_spectra(rho, direction).rows
     assert stacked.shape == (dim, dims[1] if side == "first" else dims[0])
     assert np.abs(stacked - np.array(per_branch)).max() <= 1e-12
+
+
+def _flip_share(rho, eps: float, draws: int = 200) -> float:
+    """Share of ``draws`` seeded perturbations of Frobenius norm ``eps`` that flip
+    the verdict on ``rho``: each adds a random traceless Hermitian matrix, projects
+    the sum to PSD, renormalizes it, validates it and infers again."""
+    rng = np.random.default_rng(7)
+    dim = rho.dim
+    base = qeci_infer(rho).direction
+    flips = 0
+    for _ in range(draws):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = g + g.conj().T
+        h -= np.trace(h).real / dim * np.eye(dim)
+        w, v = np.linalg.eigh(rho.mat + eps * h / np.linalg.norm(h))
+        m = (v * np.maximum(w, 0.0)) @ v.conj().T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            verdict = qeci_infer(validate_density(m / np.trace(m).real, rho.dims))
+        flips += verdict.direction is not base
+    return flips / draws
+
+
+def test_the_depolarizing_verdicts_flip_under_tiny_noise_and_the_hadamard_ones_do_not():
+    # The README's fragility finding, recorded as it stands.
+    # The criterion-04 joints have two exactly equal forward conditional
+    # spectra and a forward branch of weight 0.0048, so a 1e-6 perturbation
+    # flips most verdicts; qsc_hadamard's hold at 1e-2. Loose bounds, so the
+    # counts of other LAPACK builds pass too.
+    inv = 1 / math.sqrt(2)
+    shares = [
+        _flip_share(depolarizing_mixture(0.4, (0.6, 0.8), (inv, inv), p), 1e-6)
+        for p in (0.1, 0.4, 0.7)
+    ]
+    assert shares[0] < shares[1] < shares[2] and shares[2] >= 0.9, shares
+    for p in (0.1, 0.4, 0.7):
+        assert _flip_share(qsc_hadamard(0.4, p), 1e-2) == 0.0, p

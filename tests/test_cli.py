@@ -460,6 +460,41 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv, doc, message
     assert out == "" and err == f"error: {path}: {message}\n"
 
 
+# files that are not JSON text: nesting past the parser's recursion limit,
+# and bytes that are not UTF-8
+_UNPARSABLE = {"deep-nesting": b"[" * 100_000, "not-utf8": b"\xff\xfe"}
+
+
+@pytest.mark.parametrize("content", list(_UNPARSABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [["infer", "--input"], ["coupling", "--marginals"], ["map-classical", "--mode", "embed", "--input"]],
+    ids=["density", "marginal-rows", "table"],
+)
+def test_a_file_that_is_not_json_text_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(_UNPARSABLE[content])
+    assert main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "map-classical"])
+def test_out_to_a_path_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.csv"
+    table = tmp_path / "table.json"
+    table.write_text("[[0.1, 0.2], [0.3, 0.4]]", encoding="utf-8")
+    argv = {
+        "sweep": ["sweep", "--channel", "qsc", "--q", "0.4", "--p-start", "0.1", "--p-end", "0.2",
+                  "--steps", "2"],
+        "map-classical": ["map-classical", "--mode", "embed", "--input", str(table)],
+    }[command]
+    assert main([*argv, "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_largest_float_as_an_integer_is_a_number(tmp_path, capsys):
     # the largest integer that float() takes passes the parse and fails as a table
     path = tmp_path / "table.json"

@@ -4,7 +4,8 @@ The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
 name, so each name it lists must resolve on the package; the README's
 library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
-eigensolvers and the Hermitian part are each written at one site."""
+eigensolvers, the Hermitian part, the construction of a DensityMatrix and
+the PSD rule's NotPSD are each written at one site."""
 
 import ast
 import contextlib
@@ -100,3 +101,24 @@ def test_the_hermitian_part_is_written_once():
         return has_half and any(isinstance(n, ast.Attribute) and n.attr == "conj" for n in parts)
 
     assert set(_sites(halved_conjugate)) == {("linalg.py", "_hermitian_part")}
+
+
+def test_a_density_is_built_at_one_site():
+    def constructs_density(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "DensityMatrix"
+        )
+
+    assert _sites(constructs_density) == [("density.py", "_wrap")]
+
+
+def test_the_psd_rule_raises_at_one_site():
+    def raises_not_psd(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "NotPSD"
+
+    assert len(_sites(raises_not_psd)) == 1, _sites(raises_not_psd)
