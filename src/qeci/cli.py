@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -41,6 +42,24 @@ def _resolve_tol(args) -> float:
     if not 0.0 <= tol < math.inf:  # nan fails too
         raise FileFormatError(f"{source} must be a finite number >= 0, got {tol}")
     return tol
+
+
+def _check_out(out_path: str | None) -> None:
+    """Raise FileFormatError now, before any work, if ``out_path`` cannot be
+    written: its directory is missing, it is a directory, or it is not
+    writable. Creates nothing; a later failure still reaches _write_text."""
+    if out_path is None:
+        return
+    parent = os.path.dirname(out_path) or os.curdir
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(out_path if os.path.exists(out_path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise FileFormatError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _write_text(text: str, out_path: str | None) -> None:
@@ -103,6 +122,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _check_out(args.out)
     lines = ["p,s_forward,s_backward,delta,direction"]
     for p in sorted(grid):
         try:
@@ -139,6 +159,7 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_map_classical(args) -> int:
+    _check_out(args.out)
     if args.mode == "embed":
         text = dump_density(diag_embed(load_table_file(args.input))) + "\n"
     else:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heapreplace
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -189,7 +190,7 @@ def _greedy_masses(rows: np.ndarray) -> tuple[list[float], float]:
         heapify(h)
     masses, total = [], 0.0
     while True:
-        r = -max(h[0] for h in heaps)
+        r = -max(map(itemgetter(0), heaps))
         if not MASS_FLOOR < r < math.inf:
             break
         for h in heaps:

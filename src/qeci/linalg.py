@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small composite quantum systems.
 
 Products, partial traces and subsystem swaps are numpy index operations; the
-Hermitian eigendecomposition is LAPACK's ``eigh`` reached through numpy, with
-input checks and a fixed output order and gauge on top.
+Hermitian eigendecomposition is LAPACK's ``eigh``, called through the gufuncs
+that numpy.linalg's own ``eigh`` and ``eigvalsh`` call, with input checks and
+a fixed output order and gauge on top.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class DimensionMismatch(ValueError):
@@ -102,12 +104,19 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def _lapack_eigh(a: np.ndarray, vectors: bool = True):
-    """numpy's ``eigh``, or ``eigvalsh`` without ``vectors``, on a matrix or a stack. A
-    LinAlgError or a nan eigenvalue (some |a_ij| overflows) raises EigenConvergenceError."""
-    try:
-        out = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    """LAPACK's ``eigh``, or ``eigvalsh`` without ``vectors``, on a complex matrix or stack.
+
+    Calls the gufuncs numpy.linalg.eigh and eigvalsh call, with their
+    signature, so the output is theirs bit for bit without the wrappers'
+    set-up on every call. A decomposition that fails comes back as nan,
+    where the wrappers raise LinAlgError, and a nan eigenvalue (also from
+    some |a_ij| that overflows) raises EigenConvergenceError.
+    """
+    with np.errstate(all="ignore"):  # a failure sets the invalid flag
+        if vectors:
+            out = _umath_linalg.eigh_lo(a, signature="D->dD")
+        else:
+            out = _umath_linalg.eigvalsh_lo(a, signature="D->d")
     values = out[0] if vectors else out
     if values.size and math.isnan(_smallest(values)):
         name = "eigh" if vectors else "eigvalsh"
@@ -154,7 +163,8 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
 
     Returns eigenvalues sorted descending, each eigenvector rephased so its
     largest-magnitude component is real and positive, which pins the gauge
-    for non-degenerate spectra; LAPACK's failure raises EigenConvergenceError.
+    for non-degenerate spectra. A decomposition that fails or holds a nan
+    raises EigenConvergenceError (see _lapack_eigh).
     """
     if not herm_tol >= 0.0:  # nan fails too
         raise ValueError(f"herm_tol must be a number >= 0, got {herm_tol}")

@@ -218,3 +218,21 @@ def reference_validate_density(mat, dims, tol: float = 1e-9) -> DensityMatrix:
     if abs(trace - 1.0) > tol:
         raise TraceNotOne(f"trace residual {abs(trace - 1.0):.3e} exceeds {tol:.1e}")
     return _wrap(0.5 * m + 0.5 * m.conj().T, dims, tol, eig=eig, trace=trace)
+
+
+def failing_gufunc(gufunc, fails=lambda a: True):
+    """``gufunc``, numpy's ``eigh_lo`` or ``eigvalsh_lo`` kernel, as it behaves
+    when LAPACK does not converge on an input that ``fails`` takes: every output
+    entry nan, at the shapes and dtypes of a good call, and the floating-point
+    invalid flag raised, which numpy's own wrappers turn into LinAlgError."""
+
+    def failing(a, **kwargs):
+        out = gufunc(a, **kwargs)
+        if not fails(a):
+            return out
+        np.sqrt(np.array(-1.0))  # raises the invalid flag under the caller's errstate
+        if isinstance(out, tuple):
+            return tuple(np.full_like(x, np.nan) for x in out)
+        return np.full_like(out, np.nan)
+
+    return failing

@@ -8,7 +8,7 @@ from qeci.causal import DegeneracyWarning, Direction, JointDistribution, classic
 from qeci.channels import depolarizing_mixture
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.density import validate_density
-from qeci.linalg import partial_trace
+from qeci.linalg import _umath_linalg, partial_trace
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -65,7 +65,8 @@ def test_diag_embed_wraps_the_checked_table_as_validate_density_would(monkeypatc
 
     # absent from classicalmap once diag_embed stops importing it
     monkeypatch.setattr(classicalmap, "validate_density", unreachable, raising=False)
-    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", unreachable)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", unreachable)
     embedded = [diag_embed(j) for j in joints]
     monkeypatch.undo()
     assert [_density_bytes(rho) for rho in embedded] == expected

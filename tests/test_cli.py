@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qeci.channels import qsc_computational
+from qeci import cli
+from qeci.channels import ChannelSpec, qsc_computational
 from qeci.cli import main
 from qeci.fileio import (
     FileFormatError,
@@ -22,8 +23,9 @@ from qeci.fileio import (
 )
 from qeci.causal import DegeneracyWarning, JointDistribution
 from qeci.density import validate_density
+from qeci.linalg import _umath_linalg
 
-from _helpers import small_branch_joint
+from _helpers import failing_gufunc, small_branch_joint
 
 
 @pytest.fixture()
@@ -114,29 +116,43 @@ def test_infer_single_level_prints_no_negative_zero(tmp_path, capsys):
 
 
 def test_infer_numeric_failure_exits_4(qsc_file, capsys, monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", failing_gufunc(_umath_linalg.eigh_lo))
     assert main(["infer", "--input", qsc_file]) == 4
-    assert capsys.readouterr().err.startswith("error: numeric failure")
+    assert capsys.readouterr().err == (
+        "error: numeric failure: eigendecomposition did not converge: eigh returned nan\n"
+    )
+
+
+def _stacked(a):
+    # the conditionals' spectra are the one stacked eigvalsh; the joint's is 2-D
+    return a.ndim > 2
 
 
 def test_infer_stacked_spectra_failure_exits_4(qsc_file, capsys, monkeypatch):
-    # eigh still works, so the failure comes from the conditionals' stacked eigvalsh
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    # the joint's eigvalsh and the reduced densities' eigh still work, so the
+    # failure comes from the conditionals' stacked eigvalsh
+    eigvalsh = failing_gufunc(_umath_linalg.eigvalsh_lo, _stacked)
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", eigvalsh)
     assert main(["infer", "--input", qsc_file]) == 4
-    assert capsys.readouterr().err.startswith("error: numeric failure")
+    assert capsys.readouterr().err == (
+        "error: numeric failure: eigendecomposition did not converge: eigvalsh returned nan\n"
+    )
 
 
 def test_infer_nan_stacked_spectra_exits_4(qsc_file, capsys, monkeypatch):
-    # the spectra reach the coupling unchecked, so a nan eigvalsh is caught where it happens
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    # nan spectra with no invalid flag, as LAPACK returns for an infinite entry:
+    # the spectra reach the coupling unchecked, so a nan is caught where it happens
+    eigvalsh = _umath_linalg.eigvalsh_lo
+
+    def nan_when_stacked(a, **kwargs):
+        values = eigvalsh(a, **kwargs)
+        return np.full_like(values, np.nan) if _stacked(a) else values
+
+    monkeypatch.setattr(_umath_linalg, "eigvalsh_lo", nan_when_stacked)
     assert main(["infer", "--input", qsc_file]) == 4
-    assert capsys.readouterr().err.startswith("error: numeric failure")
+    assert capsys.readouterr().err == (
+        "error: numeric failure: eigendecomposition did not converge: eigvalsh returned nan\n"
+    )
 
 
 def test_infer_accepts_a_joint_with_a_small_branch(tmp_path, capsys):
@@ -493,6 +509,37 @@ def test_out_to_a_path_that_cannot_be_written_exits_2(tmp_path, capsys, command)
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command", ["sweep", "map-classical"])
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, command, target):
+    table = tmp_path / "table.json"
+    table.write_text("[[0.1, 0.2], [0.3, 0.4]]", encoding="utf-8")
+    out_path = {"missing-dir": tmp_path / "missing" / "out.csv", "a-dir": tmp_path / "a-dir"}[target]
+    if target == "a-dir":
+        out_path.mkdir()
+    calls = []
+
+    def counting(name, work):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return work(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(ChannelSpec, "joint", counting("joint", ChannelSpec.joint))
+    monkeypatch.setattr(cli, "diag_embed", counting("diag_embed", cli.diag_embed))
+    argv = {
+        "sweep": ["sweep", "--channel", "qsc", "--p-start", "0", "--p-end", "1", "--steps", "5"],
+        "map-classical": ["map-classical", "--mode", "embed", "--input", str(table)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_largest_float_as_an_integer_is_a_number(tmp_path, capsys):
