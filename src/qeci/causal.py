@@ -22,11 +22,16 @@ from .density import (
     _conditional_blocks,
     von_neumann_entropy,
 )
-from .linalg import DimensionMismatch, _smallest, _stack, partial_trace
+from .linalg import (
+    DEGENERACY_GAP,
+    PROB_FLOOR,
+    TIE_TOL,
+    DimensionMismatch,
+    _smallest,
+    _stack,
+    partial_trace,
+)
 
-TIE_TOL = 1e-9
-BRANCH_FLOOR = 1e-12
-DEGENERACY_GAP = 1e-8
 # per cause side: the subsystem traced out of the joint
 _TRACED = {"A": "B", "B": "A"}
 
@@ -105,7 +110,7 @@ def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list
     """Reduced densities of sides ``labels``, each "A" or "B", built once per joint.
 
     Sides not in the joint's memo are built unvalidated (the partial trace of
-    a validated joint is exactly Hermitian, its trace one within 1e-15): by
+    a validated joint is exactly Hermitian, its trace one within TRACE_ROUNDING): by
     one hermitian_eig call when they share a dimension, else one per side.
     Each is gap-tested and memoized; then each degenerate side warns, in side
     order, at ``stacklevel`` counted from here.
@@ -131,10 +136,10 @@ def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list
 
 
 def _branch_kets(reduced: DensityMatrix) -> np.ndarray:
-    """Eigenkets of a reduced density above the branch floor, as columns."""
+    """Eigenkets of a reduced density above PROB_FLOOR, the branch floor, as columns."""
     values, vectors = reduced.eig.eigenvalues, reduced.eig.eigenvectors
     # descending: when the smallest is above the floor, every eigenket is a branch
-    return vectors if values[-1] > BRANCH_FLOOR else vectors[:, values > BRANCH_FLOOR]
+    return vectors if values[-1] > PROB_FLOOR else vectors[:, values > PROB_FLOOR]
 
 
 def _condition(
@@ -209,7 +214,7 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     table = joint.table
     p_row = np.add.reduce(table, axis=1)
     p_col = np.add.reduce(table, axis=0)
-    fwd, bwd = p_row > BRANCH_FLOOR, p_col > BRANCH_FLOOR
+    fwd, bwd = p_row > PROB_FLOOR, p_col > PROB_FLOOR
     return _verdict(
         _entropy_bits(p_row[p_row > 0.0]),
         MarginalSet._trusted(table[fwd] / p_row[fwd, None]),

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMatrix, _wrap
-from .linalg import _hermitian_part
+from .linalg import DEFAULT_TOL, _hermitian_part
 
-PAIR_NORM_TOL = 1e-9
 # columns |+> and |->
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 # column 2i + j is the ket |s_i s_j>, s = (|+>, |->)
@@ -26,10 +25,8 @@ def _check_prob(value: float, name: str) -> float:
 
 def _check_amplitude_pair(gamma: float, lam: float) -> tuple[float, float]:
     gamma, lam = float(gamma), float(lam)
-    if not abs(gamma * gamma + lam * lam - 1.0) <= PAIR_NORM_TOL:  # nan fails too
-        raise ValueError(
-            f"amplitudes ({gamma}, {lam}) violate gamma^2 + lambda^2 = 1"
-        )
+    if not abs(gamma * gamma + lam * lam - 1.0) <= DEFAULT_TOL:  # nan fails too
+        raise ValueError(f"amplitudes ({gamma}, {lam}) violate gamma^2 + lambda^2 = 1")
     return gamma, lam
 
 
@@ -85,8 +82,8 @@ def _joint(m: np.ndarray) -> DensityMatrix:
     """Wrap a two-qubit channel joint built from checked parameters.
 
     Symmetrized once and not validated: weights in [0, 1] and amplitude pairs
-    of unit norm within PAIR_NORM_TOL give a PSD matrix whose trace is one to
-    within about 2 * PAIR_NORM_TOL, which _wrap renormalizes. Only _wrap's
+    of unit norm within DEFAULT_TOL give a PSD matrix whose trace is one to
+    within about 2 * DEFAULT_TOL, which _wrap renormalizes. Only _wrap's
     PSD check runs, on the spectrum.
     """
     return _wrap(_hermitian_part(np.asarray(m, dtype=complex)), (2, 2))

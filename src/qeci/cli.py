@@ -105,17 +105,11 @@ def _p_grid(start: float, end: float, steps: int) -> list[float]:
 
 def cmd_sweep(args) -> int:
     try:
-        amps = [k for k in ("gamma1", "lambda1", "gamma2", "lambda2") if vars(args)[k] is not None]
-        if args.channel != "depolarizing" and amps:
-            raise ValueError(f"{args.channel} channel takes no amplitudes, got {'/'.join(amps)}")
-        spec = ChannelSpec(
-            kind=args.channel,
-            q=args.q,
-            gamma1=args.gamma1,
-            lambda1=args.lambda1,
-            gamma2=args.gamma2,
-            lambda2=args.lambda2,
-        )
+        amps = {k: vars(args)[k] for k in ("gamma1", "lambda1", "gamma2", "lambda2")}
+        given = [k for k, v in amps.items() if v is not None]
+        if args.channel != "depolarizing" and given:
+            raise ValueError(f"{args.channel} channel takes no amplitudes, got {'/'.join(given)}")
+        spec = ChannelSpec(args.channel, args.q, **amps)
         grid = _p_grid(
             _check_prob(args.p_start, "--p-start"), _check_prob(args.p_end, "--p-end"), args.steps
         )

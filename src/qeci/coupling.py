@@ -11,11 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _largest, _smallest
+from .linalg import DEFAULT_TOL, PROB_FLOOR, _largest, _smallest
 
-MASS_FLOOR = 1e-12
-ROW_SUM_TOL = 1e-9
-NEGATIVE_CLAMP = 1e-12
 # The most rows a set may have to be coupled on per-row heaps: timed per call
 # against the numpy rounds, the heaps won at widths 2, 16 and 256 with up to
 # 8 rows, and lost at width 256 from 12 rows on and at every width at 64.
@@ -77,7 +74,7 @@ def _probability_rows(stack: np.ndarray, what: str, row_name: str, error: type) 
     """The rows of a 2-D float stack, checked as probability vectors.
 
     The one probability-vector check: rows must hold no entry below
-    -NEGATIVE_CLAMP and, clamped at zero, sum to one within ROW_SUM_TOL; no
+    -PROB_FLOOR and, clamped at zero, sum to one within DEFAULT_TOL; no
     row with a nan or inf entry passes both. Raises ``error`` naming ``what``
     for a non-finite entry, else ``row_name.format(i)`` for the first
     failing row i. Returns the clamped stack, read-only.
@@ -87,16 +84,16 @@ def _probability_rows(stack: np.ndarray, what: str, row_name: str, error: type) 
     with np.errstate(over="ignore"):  # a row of huge entries sums to inf
         sums = np.add.reduce(rows, axis=1)
     misfit = abs(sums - 1.0)
-    if low >= -NEGATIVE_CLAMP and _largest(misfit) <= ROW_SUM_TOL:
+    if low >= -PROB_FLOOR and _largest(misfit) <= DEFAULT_TOL:
         rows.setflags(write=False)
         return rows
     if not np.isfinite(stack).all():
         raise error(f"{what} contains non-finite entries")
-    if low < -NEGATIVE_CLAMP:
+    if low < -PROB_FLOOR:
         low = stack.min(axis=1)
-        i = int((low < -NEGATIVE_CLAMP).argmax())
-        raise error(f"{row_name.format(i)} has entry {low[i]:.3e} below -{NEGATIVE_CLAMP:.1e}")
-    i = int((misfit > ROW_SUM_TOL).argmax())
+        i = int((low < -PROB_FLOOR).argmax())
+        raise error(f"{row_name.format(i)} has entry {low[i]:.3e} below -{PROB_FLOOR:.1e}")
+    i = int((misfit > DEFAULT_TOL).argmax())
     raise error(f"{row_name.format(i)} sums to {float(sums[i])!r}, not 1")
 
 
@@ -164,7 +161,7 @@ def _greedy_rounds(rows: np.ndarray, picks: list | None = None) -> tuple[list[fl
         cells = argmaxes + offsets
         tops = flat[cells]
         r = tops.item(tops.argmin())  # a ufunc reduce costs ~4x this on a short stack
-        if not MASS_FLOOR < r < math.inf:
+        if not PROB_FLOOR < r < math.inf:
             break
         flat[cells] = tops - r
         if picks is not None:
@@ -191,7 +188,7 @@ def _greedy_masses(rows: np.ndarray) -> tuple[list[float], float]:
     masses, total = [], 0.0
     while True:
         r = -max(map(itemgetter(0), heaps))
-        if not MASS_FLOOR < r < math.inf:
+        if not PROB_FLOOR < r < math.inf:
             break
         for h in heaps:
             heapreplace(h, r + h[0])

@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
+    PROB_FLOOR,
+    TRACE_ROUNDING,
     DimensionMismatch,
     EigenDecomposition,
     _bipartite,
@@ -21,10 +24,6 @@ from .linalg import (
     kron,
     require_finite,
 )
-
-DEFAULT_TOL = 1e-9
-PROB_TOL = 1e-12
-ENTROPY_EIGENVALUE_FLOOR = 1e-12
 
 
 class NotPSD(ValueError):
@@ -175,12 +174,13 @@ def _wrap(
     """The one constructor of a DensityMatrix: wrap the exactly Hermitian ``h``.
 
     Callers hand over what they already have: ``eig``, a decomposition of
-    ``h``; ``least``, a lower bound on its spectrum; ``trace``, that of ``h``
-    or of the input ``h`` is the Hermitian part of. With neither ``eig`` nor ``least``,
-    one ``eigvalsh`` reads the smallest eigenvalue. Below -``tol`` it raises
-    NotPSD. In [-tol, 0) it is rounding noise: ``h`` is decomposed, its
-    eigenvalues clamped to zero, the matrix rebuilt, and the trace
-    renormalized to one, as is a trace off one by more than 1e-15. ``h`` and
+    ``h``; ``least``, a lower bound on its spectrum; ``trace``, that of ``h`` or
+    of the input ``h`` is the Hermitian part of. With neither ``eig`` nor
+    ``least``, one ``eigvalsh`` reads the smallest eigenvalue. Below -``tol``
+    it raises NotPSD. In [-tol, 0) it is rounding noise: ``h`` is decomposed,
+    its eigenvalues clamped to zero, the matrix rebuilt, and the trace
+    renormalized to one, as is a trace off one by more than TRACE_ROUNDING; a
+    trace, given or rebuilt, that is not positive raises TraceNotOne. ``h`` and
     ``eig`` must be fresh arrays that no caller keeps, so they may become the
     density's own read-only ``mat`` and ``eig`` (else taken on read).
     """
@@ -194,15 +194,15 @@ def _wrap(
     if trace is None:
         trace = complex(np.einsum("ii", h))
     # accepted within tol; hand downstream code an exactly unit-trace matrix
-    scale = trace.real if abs(trace - 1.0) > 1e-15 else 1.0
-    memo = {}
-    if eig is not None:
-        if least < 0.0:  # rebuild from the clamped spectrum
-            eig = _settled(eig)
-            m = (eig.eigenvectors * eig.eigenvalues) @ dagger(eig.eigenvectors)
-            h = _hermitian_part(m)
-            scale = np.trace(m).real
-        memo["eig"] = _settled(eig, scale)
+    scale = trace.real if abs(trace - 1.0) > TRACE_ROUNDING else 1.0
+    if eig is not None and least < 0.0:  # rebuild from the clamped spectrum
+        eig = _settled(eig)
+        m = (eig.eigenvectors * eig.eigenvalues) @ dagger(eig.eigenvectors)
+        h = _hermitian_part(m)
+        scale = np.trace(m).real
+    if not scale > 0.0:  # a loose tol passes a trace <= 0; a clamp can leave one
+        raise TraceNotOne(f"trace {scale:.3e} is not positive")
+    memo = {} if eig is None else {"eig": _settled(eig, scale)}
     if scale != 1.0:
         h = h / scale
     h.setflags(write=False)
@@ -215,18 +215,18 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     # Python floats: numpy's arithmetic, less overhead; totalled left to right,
     # not by sum(), which compensates its rounding on Python >= 3.12
     for v in rho.eig.eigenvalues.tolist():
-        if v > ENTROPY_EIGENVALUE_FLOOR:
+        if v > PROB_FLOOR:
             s -= v * math.log2(v)
     # eigenvalues a rounding above one leave s just below zero
     return max(0.0, s)
 
 
-def _psd_sqrt(n: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _psd_sqrt(n: np.ndarray) -> np.ndarray:
     eig = hermitian_eig(n)  # the square, finite and Hermitian check
     # Idempotent input (a projector) is its own PSD square root.
     if np.linalg.norm(n @ n - n) <= 1e-12 * max(1.0, np.linalg.norm(n)):
         return n
-    _require_psd(eig.eigenvalues[-1], tol)
+    _require_psd(eig.eigenvalues[-1], DEFAULT_TOL)
     roots = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
     return (eig.eigenvectors * roots) @ dagger(eig.eigenvectors)
 
@@ -273,7 +273,7 @@ def _conditional_blocks(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np
     (ket side) and one diagonal einsum (bra side). Returns the blocks
     (..., n, k, k) and their traces (..., n), the branch weights.
 
-    Raises ZeroProbabilityCondition when a weight is at most PROB_TOL.
+    Raises ZeroProbabilityCondition when a weight is at most PROB_FLOOR.
     """
     if kets.shape[-2] != r.shape[-4]:
         raise DimensionMismatch(
@@ -283,9 +283,9 @@ def _conditional_blocks(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np
     blocks = np.einsum("...ckli,...ci->...ikl", half, kets.conj())
     weights = np.einsum("...ikk->...i", blocks).real
     least = _smallest(weights)
-    if least <= PROB_TOL:
+    if least <= PROB_FLOOR:
         raise ZeroProbabilityCondition(
-            f"conditioning outcome has probability {least:.3e} <= {PROB_TOL:.1e}"
+            f"conditioning outcome has probability {least:.3e} <= {PROB_FLOOR:.1e}"
         )
     return blocks, weights
 
@@ -322,7 +322,7 @@ def instance_conditional(
     DEFAULT_TOL divided by the outcome's probability.
 
     Raises ZeroProbabilityCondition when the outcome carries no probability
-    mass, i.e. the pre-normalization trace is at most PROB_TOL.
+    mass, i.e. the pre-normalization trace is at most PROB_FLOOR.
     """
     cause = {"first": "A", "second": "B"}.get(conditioned_side)
     if cause is None:

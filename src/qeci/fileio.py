@@ -80,13 +80,19 @@ def dump_density(rho: DensityMatrix) -> str:
     return json.dumps(density_payload(rho), indent=2)
 
 
-def load_table_file(path: str) -> JointDistribution:
-    """Parse a joint probability table: a JSON array of equal-length rows of numbers."""
+def _number_rows(path: str, noun: str) -> list:
+    """The JSON document at ``path``, once it is an array of arrays that hold only numbers."""
     doc = _load_json(path)
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise FileFormatError(f"{path}: expected an array of table rows")
+        raise FileFormatError(f"{path}: expected an array of {noun}")
     if not all(_is_number(v) for row in doc for v in row):
-        raise FileFormatError(f"{path}: table rows must hold only numbers")
+        raise FileFormatError(f"{path}: {noun} must hold only numbers")
+    return doc
+
+
+def load_table_file(path: str) -> JointDistribution:
+    """Parse a joint probability table: a JSON array of equal-length rows of numbers."""
+    doc = _number_rows(path, "table rows")
     try:
         table = np.array(doc, dtype=float)
     except ValueError as exc:
@@ -98,13 +104,9 @@ def load_table_file(path: str) -> JointDistribution:
 
 def load_marginal_rows(path: str) -> MarginalSet:
     """Parse marginal rows: a JSON array of probability vectors."""
-    doc = _load_json(path)
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise FileFormatError(f"{path}: expected an array of probability rows")
+    doc = _number_rows(path, "probability rows")
     if len(doc) < 2:
         raise FileFormatError(f"{path}: need at least 2 rows, got {len(doc)}")
-    if not all(_is_number(v) for row in doc for v in row):
-        raise FileFormatError(f"{path}: probability rows must hold only numbers")
     return MarginalSet.from_rows(doc)
 
 

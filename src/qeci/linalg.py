@@ -14,6 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+# The package's tolerances, each set here alone and read by name.
+DEFAULT_TOL = 1e-9  # outside input is checked within it
+PROB_FLOOR = 1e-12  # a probability or eigenvalue at most it is zero; down to -it, rounding
+TRACE_ROUNDING = 1e-15  # a trace off one by at most it is kept as it is
+TIE_TOL = 1e-9  # scores within it tie
+DEGENERACY_GAP = 1e-8  # a spectrum with an eigenvalue gap below it is degenerate
+
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes or subsystem dimensions."""
@@ -108,9 +115,10 @@ def _lapack_eigh(a: np.ndarray, vectors: bool = True):
 
     Calls the gufuncs numpy.linalg.eigh and eigvalsh call, with their
     signature, so the output is theirs bit for bit without the wrappers'
-    set-up on every call. A decomposition that fails comes back as nan,
-    where the wrappers raise LinAlgError, and a nan eigenvalue (also from
-    some |a_ij| that overflows) raises EigenConvergenceError.
+    set-up on every call. A decomposition that fails comes back as nan, where
+    the wrappers raise LinAlgError, and a nan eigenvalue (also from some
+    |a_ij| that overflows) raises EigenConvergenceError. Without ``vectors``,
+    ``a`` must be finite: eigvalsh of [[nan, 0], [0, 1]] is [0, -0], unseen.
     """
     with np.errstate(all="ignore"):  # a failure sets the invalid flag
         if vectors:
@@ -146,7 +154,7 @@ def _checked_hermitian(a: np.ndarray, herm_tol: float) -> np.ndarray:
     return a
 
 
-def hermitian_eig(a: np.ndarray, herm_tol: float = 1e-9) -> EigenDecomposition:
+def hermitian_eig(a: np.ndarray, herm_tol: float = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecompose a complex Hermitian matrix with LAPACK's ``eigh``.
 
     At a finite ``herm_tol`` >= 0, checks that ``a`` is square, finite and

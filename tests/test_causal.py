@@ -11,7 +11,6 @@ import pytest
 import qeci
 from qeci import causal, coupling
 from qeci.causal import (
-    BRANCH_FLOOR,
     DegeneracyWarning,
     Direction,
     JointDistribution,
@@ -29,6 +28,7 @@ from qeci.channels import (
 from qeci.classicalmap import diag_embed, rotate_to_classical
 from qeci.density import NotPSD, instance_conditional, pure_state, validate_density
 from qeci.linalg import (
+    PROB_FLOOR,
     EigenConvergenceError,
     dagger,
     hermitian_eig,
@@ -681,7 +681,7 @@ def test_stacked_spectra_equal_per_branch_conditionals(dims, direction, side, tr
     per_branch = [
         instance_conditional(rho, pure_state(ket), side).eig.eigenvalues
         for value, ket in zip(reduced.eigenvalues, reduced.eigenvectors.T)
-        if value > BRANCH_FLOOR
+        if value > PROB_FLOOR
     ]
     stacked = conditional_spectra(rho, direction).rows
     assert stacked.shape == (dim, dims[1] if side == "first" else dims[0])

@@ -220,7 +220,7 @@ def test_nan_amplitude_is_rejected(slot):
             depolarizing_component(*pair, 0.1)
 
 
-# |gamma^2 + lambda^2 - 1| = 9e-10, inside PAIR_NORM_TOL: each component has
+# |gamma^2 + lambda^2 - 1| = 9e-10, inside DEFAULT_TOL: each component has
 # trace 1 + 1.8e-9, which the channel joint renormalizes instead of rejecting
 EDGE_LAMBDA = 0.8000000005625
 

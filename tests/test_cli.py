@@ -203,6 +203,31 @@ def test_infer_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert main(["infer", "--input", str(path)]) == 0
 
 
+# matrices on dims [1, 2] whose trace passes --tol 2 but leaves zero to divide
+# by: the zero matrix, and -I/4, which is clamped to zero
+ZERO_TRACE_CELLS = {
+    "zero": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    "minus_quarter_identity": [[[-0.25, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.25, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("name", sorted(ZERO_TRACE_CELLS))
+def test_infer_rejects_a_trace_that_is_not_positive_at_a_loose_tol(
+    tmp_path, capsys, monkeypatch, name, via_env
+):
+    path = tmp_path / "zero_trace.json"
+    doc = {"dims": [1, 2], "matrix": ZERO_TRACE_CELLS[name]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["infer", "--input", str(path)]
+    if via_env:
+        monkeypatch.setenv("QECI_TOL", "2")
+    else:
+        argv += ["--tol", "2"]
+    err = _single_error_line(capsys, argv)
+    assert err == "error: TraceNotOne: trace 0.000e+00 is not positive\n"
+
+
 def _garbled_density_file(tmp_path) -> str:
     # [[-1, 2], [0, 4.5]]: not Hermitian, not PSD, trace 3.5
     path = tmp_path / "garbled.json"

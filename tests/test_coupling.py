@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qeci
 from qeci import coupling
-from qeci.causal import BRANCH_FLOOR, DegeneracyWarning, conditional_spectra
+from qeci.causal import DegeneracyWarning, conditional_spectra
 from qeci.channels import depolarizing_mixture, qsc_hadamard
 from qeci.classicalmap import rotate_to_classical
 from qeci.cli import main as cli_main
@@ -24,6 +24,7 @@ from qeci.coupling import (
     greedy_min_entropy_coupling,
     shannon_entropy,
 )
+from qeci.linalg import PROB_FLOOR
 
 from _helpers import exact_min_entropy_2rows
 
@@ -237,7 +238,7 @@ def _paper_sweep_two_row_sets():
                 table = rotate_to_classical(rho).table
                 for t in (table, table.T):
                     weights = t.sum(axis=1)
-                    sets.append(t[weights > BRANCH_FLOOR] / weights[weights > BRANCH_FLOOR, None])
+                    sets.append(t[weights > PROB_FLOOR] / weights[weights > PROB_FLOOR, None])
     return [rows for rows in sets if rows.shape == (2, 2)]
 
 

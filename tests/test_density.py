@@ -25,7 +25,14 @@ from qeci.density import (
     validate_density,
     von_neumann_entropy,
 )
-from qeci.linalg import NotHermitian, dagger, hermitian_eig, partial_trace, swap_subsystems
+from qeci.linalg import (
+    PROB_FLOOR,
+    NotHermitian,
+    dagger,
+    hermitian_eig,
+    partial_trace,
+    swap_subsystems,
+)
 
 from _helpers import (
     random_density,
@@ -56,6 +63,14 @@ def test_validate_accepts_worked_joint():
 def test_validate_rejects_bad_trace():
     with pytest.raises(TraceNotOne):
         validate_density(np.diag([0.5, 0.6]).astype(complex), (2,))
+
+
+@pytest.mark.parametrize("mat", [np.zeros((2, 2)), -0.25 * np.eye(2)])
+def test_validate_rejects_a_trace_that_is_not_positive_at_a_loose_tolerance(mat):
+    # tol=2 passes the trace (residual 1, 1.5) and PSD checks; the zero matrix
+    # keeps a zero trace and -I/4 is clamped to zero, so none is left to divide by
+    with pytest.raises(TraceNotOne, match=r"^trace 0\.000e\+00 is not positive$"):
+        validate_density(mat.astype(complex), (1, 2), tol=2.0)
 
 
 def test_validate_rejects_non_hermitian():
@@ -120,7 +135,7 @@ def test_entropy_totals_its_terms_left_to_right():
         rho = validate_density(m / np.trace(m).real, (4, 4))
         total = 0.0
         for v in rho.eig.eigenvalues.tolist():
-            if v > density_module.ENTROPY_EIGENVALUE_FLOOR:
+            if v > PROB_FLOOR:
                 total += v * math.log2(v)
         assert von_neumann_entropy(rho) == -total
 
@@ -250,7 +265,7 @@ CAUSE = {"first": "A", "second": "B"}
 
 @pytest.mark.parametrize("side", ["first", "second"])
 def test_conditional_blocks_reject_a_near_zero_branch(side):
-    # branch |1> on the conditioned side carries probability 1e-13 <= PROB_TOL
+    # branch |1> on the conditioned side carries probability 1e-13 <= PROB_FLOOR
     diag = [1.0 - 1e-13, 0.0, 1e-13, 0.0] if side == "first" else [1.0 - 1e-13, 1e-13, 0.0, 0.0]
     rho = validate_density(np.diag(diag).astype(complex), (2, 2))
     with pytest.raises(ZeroProbabilityCondition):
@@ -365,15 +380,23 @@ def _clamped_joints(rng):
 
 def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(monkeypatch):
     # hermitian_eig at herm_tol=inf decomposes the matrix as given, unchecked;
-    # every one the library hands it must be finite and exactly Hermitian
-    seen = []
+    # every one the library hands it must be finite and exactly Hermitian.
+    # _lapack_eigh without vectors cannot see a nan diagonal, so every input
+    # of _wrap's spectrum check and _block_spectra must be finite too
+    seen, eigvalsh_inputs = [], []
 
     def recording(a, herm_tol=1e-9):
         if herm_tol == math.inf:  # one entry per matrix of a stack
             seen.extend(np.array(a).reshape(-1, *np.shape(a)[-2:]))
         return hermitian_eig(a, herm_tol)
 
+    def recording_lapack(a, vectors=True, lapack_eigh=density_module._lapack_eigh):
+        if not vectors:
+            eigvalsh_inputs.append(np.array(a))
+        return lapack_eigh(a, vectors)
+
     monkeypatch.setattr(density_module, "hermitian_eig", recording)
+    monkeypatch.setattr(density_module, "_lapack_eigh", recording_lapack)
     rng = np.random.default_rng(34)
     clamped = list(_clamped_joints(rng))
     assert len(seen) == len(clamped)  # each was decomposed for its clamp
@@ -408,6 +431,9 @@ def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(m
         built, checked = hermitian_eig(a, herm_tol=math.inf), hermitian_eig(a, herm_tol=1e-9)
         assert built.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
         assert built.eigenvectors.tobytes() == checked.eigenvectors.tobytes()
+    # both sites: _wrap's single matrices, _block_spectra's stacks
+    assert {a.ndim > 2 for a in eigvalsh_inputs} == {False, True}
+    assert all(np.isfinite(a).all() for a in eigvalsh_inputs)
 
 
 def test_validate_keeps_an_exactly_hermitian_input_as_is():

@@ -4,8 +4,8 @@ The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
 name, so each name it lists must resolve on the package; the README's
 library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
-eigensolvers, the Hermitian part, the construction of a DensityMatrix and
-the PSD rule's NotPSD are each written at one site."""
+eigensolvers, the Hermitian part, the construction of a DensityMatrix, the
+PSD rule's NotPSD and the tolerances are each written at one site."""
 
 import ast
 import contextlib
@@ -134,3 +134,23 @@ def test_the_psd_rule_raises_at_one_site():
         return isinstance(exc, ast.Name) and exc.id == "NotPSD"
 
     assert len(_sites(raises_not_psd)) == 1, _sites(raises_not_psd)
+
+
+def _is_float_literal(node) -> bool:
+    try:
+        return isinstance(ast.literal_eval(node), float)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+
+
+def test_the_tolerances_are_bound_at_one_site():
+    # every module-level name bound to a float literal is one of linalg's five
+    bound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if _is_float_literal(node.value):
+                    bound += [(path.name, ast.unparse(target)) for target in targets]
+    tolerances = ("DEFAULT_TOL", "PROB_FLOOR", "TRACE_ROUNDING", "TIE_TOL", "DEGENERACY_GAP")
+    assert sorted(bound) == sorted(("linalg.py", name) for name in tolerances), bound
