@@ -17,6 +17,7 @@ from .linalg import (
     _checked_hermitian,
     _hermitian_part,
     _lapack_eigh,
+    _positive_definite,
     _smallest,
     _stack,
     dagger,
@@ -104,10 +105,10 @@ def validate_density(
     DimensionMismatch, NotHermitian, TraceNotOne, or NotPSD naming the
     measured residual, and ValueError for a ``tol`` that is not a finite
     number >= 0. The matrix kept is the exactly Hermitian part of the input,
-    which is the input itself when that is exactly Hermitian. Positivity is
-    checked on the spectrum alone (see _wrap): eigenvalues in
-    [-tol, 0) are treated as rounding noise, clamped to zero, the matrix is
-    rebuilt, and the trace renormalized to one.
+    which is the input itself when that is exactly Hermitian. A positive
+    definite one is certified by a Cholesky factorization, any other checked
+    on its spectrum (see _wrap), where eigenvalues in [-tol, 0) are rounding
+    noise: clamped to zero, the matrix rebuilt, the trace renormalized to one.
     """
     if not 0.0 <= tol < math.inf:  # nan fails too
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
@@ -176,23 +177,24 @@ def _wrap(
     Callers hand over what they already have: ``eig``, a decomposition of
     ``h``; ``least``, a lower bound on its spectrum; ``trace``, that of ``h`` or
     of the input ``h`` is the Hermitian part of. With neither ``eig`` nor
-    ``least``, one ``eigvalsh`` reads the smallest eigenvalue. Below -``tol``
-    it raises NotPSD. In [-tol, 0) it is rounding noise: ``h`` is decomposed,
-    its eigenvalues clamped to zero, the matrix rebuilt, and the trace
-    renormalized to one, as is a trace off one by more than TRACE_ROUNDING; a
-    trace, given or rebuilt, that is not positive raises TraceNotOne. ``h`` and
-    ``eig`` must be fresh arrays that no caller keeps, so they may become the
-    density's own read-only ``mat`` and ``eig`` (else taken on read).
+    ``least``, one Cholesky factorization certifies a positive definite ``h``
+    (linalg._positive_definite) and any other pays one ``eigvalsh`` for its
+    smallest eigenvalue. Below -``tol`` it raises NotPSD. In [-tol, 0) it is
+    rounding noise: ``h`` is decomposed, its eigenvalues clamped to zero, the
+    matrix rebuilt and the trace renormalized to one, as is a trace off one by
+    more than TRACE_ROUNDING; a trace, given or rebuilt, that is not positive
+    raises TraceNotOne. ``h`` and ``eig`` must be fresh arrays that no caller
+    keeps: they become the density's read-only ``mat`` and ``eig`` (if given).
     """
+    if trace is None:
+        trace = complex(np.einsum("ii", h))
     if eig is None and least is None:
-        least = _smallest(_lapack_eigh(h, vectors=False))
+        least = 0.0 if _positive_definite(h, trace) else _smallest(_lapack_eigh(h, vectors=False))
         if -tol <= least < 0.0:  # rounding noise: decompose, to clamp
             eig = hermitian_eig(h, herm_tol=math.inf)
     if eig is not None:
         least = float(eig.eigenvalues[-1]) if eig.eigenvalues.size else 0.0
     _require_psd(least, tol)
-    if trace is None:
-        trace = complex(np.einsum("ii", h))
     # accepted within tol; hand downstream code an exactly unit-trace matrix
     scale = trace.real if abs(trace - 1.0) > TRACE_ROUNDING else 1.0
     if eig is not None and least < 0.0:  # rebuild from the clamped spectrum

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small composite quantum systems.
 
 Products, partial traces and subsystem swaps are numpy index operations; the
-Hermitian eigendecomposition is LAPACK's ``eigh``, called through the gufuncs
-that numpy.linalg's own ``eigh`` and ``eigvalsh`` call, with input checks and
+Hermitian eigendecomposition and the Cholesky certificate call the LAPACK
+gufuncs behind numpy.linalg's own functions directly, with input checks and
 a fixed output order and gauge on top.
 """
 
@@ -130,6 +130,24 @@ def _lapack_eigh(a: np.ndarray, vectors: bool = True):
         name = "eigh" if vectors else "eigvalsh"
         raise EigenConvergenceError(f"eigendecomposition did not converge: {name} returned nan")
     return out
+
+
+def _positive_definite(h: np.ndarray, trace: complex) -> bool:
+    """Whether LAPACK's Cholesky factorization of h - delta I certifies ``h`` positive definite.
+
+    ``h`` is finite, n x n, Hermitian and of trace ``trace``; delta = 4 n^2 eps
+    |trace|, eps = 2^-52. A factor that completes is exact for h - delta I + E,
+    ||E||_2 <= (n + 2) eps tr h (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10), so lambda_min(h) > 3 n^2 eps ||h||_2 for n >= 2, above
+    eigvalsh's backward error: eigvalsh reads a positive least eigenvalue too
+    (and a 1 x 1 ``h`` exactly). numpy.linalg.cholesky's gufunc gives nan on failure.
+    """
+    n = h.shape[-1]
+    shifted = h.copy()
+    shifted.reshape(-1)[:: n + 1] -= 4 * n * n * math.ulp(1.0) * abs(trace)  # the diagonal
+    with np.errstate(all="ignore"):  # a failure sets the invalid flag
+        factor = _umath_linalg.cholesky_lo(shifted, signature="D->D")
+    return factor.size > 0 and factor.item(-1).real > 0.0  # a nan pivot leaves the last nan
 
 
 def _checked_hermitian(a: np.ndarray, herm_tol: float) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The tables pin, for inputs that break exactly one contract, the exception
 class and message raised by the density-matrix check and by each
-probability-vector caller. A spy test checks that validate_density runs the
-finiteness and hermiticity checks once, and property tests fuzz every
+probability-vector caller. Spy tests check that validate_density runs the
+finiteness and hermiticity checks once and certifies a positive definite
+matrix by one Cholesky factorization, and property tests fuzz every
 boundary check with extreme entries: each call returns an object that meets
 its contract or raises a ValueError (or EigenConvergenceError), and never
 lets a raw numpy RuntimeWarning through.
@@ -33,6 +34,7 @@ from qeci.linalg import (
     DimensionMismatch,
     EigenConvergenceError,
     NotHermitian,
+    _umath_linalg,
     hermitian_eig,
     require_finite,
 )
@@ -174,6 +176,29 @@ def test_validate_density_checks_finiteness_and_hermiticity_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     validate_density(mat, (2, 2))
     assert calls == {"require_finite": 1, "norm": 1}
+
+
+@pytest.mark.parametrize("rank, cholesky, eigvalsh", [(16, 1, 0), (1, 1, 1)])
+def test_validate_density_certifies_a_positive_definite_joint_by_one_factorization(
+    monkeypatch, rank, cholesky, eigvalsh
+):
+    # a full-rank joint is certified by one Cholesky factorization and needs
+    # no spectrum; a rank-deficient one fails it and pays for one eigvalsh
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
+    mat = g @ g.conj().T
+    calls = dict.fromkeys(("cholesky_lo", "eigvalsh_lo", "eigh_lo"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _kernel=getattr(_umath_linalg, name), **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_umath_linalg, name, counting)
+    validate_density(mat / np.trace(mat).real, (4, 4))
+    assert (calls["cholesky_lo"], calls["eigvalsh_lo"]) == (cholesky, eigvalsh)
+    if rank == 16:
+        assert calls["eigh_lo"] == 0  # nor a decomposition
 
 
 # -- fuzzing the boundary checks with extreme entries -------------------------

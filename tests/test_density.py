@@ -36,6 +36,7 @@ from qeci.linalg import (
 
 from _helpers import (
     random_density,
+    random_hermitian,
     random_unitary,
     reference_conditional_blocks,
     reference_validate_density,
@@ -382,8 +383,10 @@ def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(m
     # hermitian_eig at herm_tol=inf decomposes the matrix as given, unchecked;
     # every one the library hands it must be finite and exactly Hermitian.
     # _lapack_eigh without vectors cannot see a nan diagonal, so every input
-    # of _wrap's spectrum check and _block_spectra must be finite too
-    seen, eigvalsh_inputs = [], []
+    # of _wrap's spectrum check and _block_spectra must be finite too; so must
+    # every input of _wrap's positive-definiteness certificate, which factors
+    # the lower triangle alone and so must be exactly Hermitian as well
+    seen, eigvalsh_inputs, certificate_inputs = [], [], []
 
     def recording(a, herm_tol=1e-9):
         if herm_tol == math.inf:  # one entry per matrix of a stack
@@ -395,8 +398,13 @@ def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(m
             eigvalsh_inputs.append(np.array(a))
         return lapack_eigh(a, vectors)
 
+    def recording_certificate(h, trace, positive_definite=density_module._positive_definite):
+        certificate_inputs.append(np.array(h))
+        return positive_definite(h, trace)
+
     monkeypatch.setattr(density_module, "hermitian_eig", recording)
     monkeypatch.setattr(density_module, "_lapack_eigh", recording_lapack)
+    monkeypatch.setattr(density_module, "_positive_definite", recording_certificate)
     rng = np.random.default_rng(34)
     clamped = list(_clamped_joints(rng))
     assert len(seen) == len(clamped)  # each was decomposed for its clamp
@@ -434,6 +442,73 @@ def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(m
     # both sites: _wrap's single matrices, _block_spectra's stacks
     assert {a.ndim > 2 for a in eigvalsh_inputs} == {False, True}
     assert all(np.isfinite(a).all() for a in eigvalsh_inputs)
+    # every density validated or built by a channel is offered to it: a skewed
+    # joint validates its Ginibre density too, a small-branch joint two more
+    assert len(certificate_inputs) == len(clamped) + 84 + 100 + 2 * 40 + 3 * 30
+    for a in certificate_inputs:
+        assert np.isfinite(a).all()
+        assert np.array_equal(a, a.conj().T)
+
+
+def _default_branch_corpus(rng):
+    """Densities built through _wrap's default branch (neither ``eig`` nor
+    ``least`` given): the suite's clamped, low-rank, skewed, small-branch,
+    channel and Ginibre joints, a tol=0 joint and instance conditionals."""
+    yield from _clamped_joints(rng)
+    for dims in [(2, 2), (4, 4), (2, 8), (8, 2), (3, 5)]:
+        for rank in (1, 2):
+            for _ in range(5):
+                yield validate_density(_low_rank_density(rng, dims, rank), dims)
+    for k in range(40):
+        dims = [(2, 2), (2, 3), (3, 2), (4, 4)][k % 4]
+        yield validate_density(skewed_density(rng, dims), dims, tol=1e-3)
+    for k in range(30):
+        eps = [1e-8, 1e-10, 1e-11][k % 3]
+        yield validate_density(small_branch_joint(rng, eps, k % 2 == 1), (2, 2))
+    amplitudes = dict(gamma1=0.6, lambda1=0.8, gamma2=2**-0.5, lambda2=2**-0.5)
+    for kind in ChannelSpec.KINDS:
+        spec = ChannelSpec(kind, q=0.4, **(amplitudes if kind == "depolarizing" else {}))
+        for p in np.linspace(0.0, 1.0, 21):
+            yield spec.joint(p)
+    for dims in [(2, 2), (4, 4), (2, 8), (8, 2), (8, 8)]:
+        for _ in range(10):
+            yield random_density(rng, dims)
+    # trace exactly one, so the check passes at tol=0
+    off_diagonal = 0.01 * random_hermitian(rng, 4)
+    np.fill_diagonal(off_diagonal, 0.25)
+    yield validate_density(off_diagonal, (2, 2), tol=0.0)
+    for ket in (z_plus(), x_minus(), y_plus()):
+        for side, dims in (("first", (2, 3)), ("second", (3, 2))):
+            yield instance_conditional(random_density(rng, dims), ket, side)
+
+
+def test_the_certificate_changes_no_bit_of_a_density_or_verdict(monkeypatch):
+    # a certified h is one eigvalsh would also have read positive, so the
+    # eigvalsh route, taken when the certificate is withheld, builds the same
+    # mat, memo and verdict, bit for bit
+    def records():
+        out = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", causal.DegeneracyWarning)
+            for rho in _default_branch_corpus(np.random.default_rng(36)):
+                memo = sorted(rho._memo)
+                verdict = repr(causal.qeci_infer(rho)) if len(rho.dims) == 2 else None
+                out.append((rho.mat.tobytes(), rho.dims, memo, verdict))
+        return out
+
+    outcomes = []
+
+    def recording(h, trace, positive_definite=density_module._positive_definite):
+        outcomes.append(positive_definite(h, trace))
+        return outcomes[-1]
+
+    monkeypatch.setattr(density_module, "_positive_definite", recording)
+    certified = records()
+    monkeypatch.setattr(density_module, "_positive_definite", lambda h, trace: False)
+    assert records() == certified
+    # both routes were taken: no clamped or low-rank joint (the first 90) is
+    # certified, and most others are (295 of 407 here)
+    assert not any(outcomes[:90]) and outcomes.count(True) >= 250
 
 
 def test_validate_keeps_an_exactly_hermitian_input_as_is():

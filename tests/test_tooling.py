@@ -4,7 +4,7 @@ The benchmark's span tracer (perfbench/spans.py) wraps qeci functions by
 name, so each name it lists must resolve on the package; the README's
 library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
-eigensolvers, the Hermitian part, the construction of a DensityMatrix, the
+kernels, the Hermitian part, the construction of a DensityMatrix, the
 PSD rule's NotPSD and the tolerances are each written at one site."""
 
 import ast
@@ -95,12 +95,16 @@ def _identifier(node):
 
 
 def test_lapack_is_called_and_its_failures_mapped_in_linalg_only():
-    # numpy's LAPACK kernels are imported once and called in _lapack_eigh
-    # alone; numpy's linalg wrappers, and the LinAlgError they raise, nowhere
-    sites = _sites(lambda node: _identifier(node) in ("_umath_linalg", "eigh_lo", "eigvalsh_lo"))
+    # numpy's LAPACK kernels are imported once and called in _lapack_eigh (the
+    # eigensolvers) and _positive_definite (Cholesky) alone; numpy's linalg
+    # wrappers, and the LinAlgError they raise, nowhere
+    kernels = ("_umath_linalg", "eigh_lo", "eigvalsh_lo", "cholesky_lo")
+    sites = _sites(lambda node: _identifier(node) in kernels)
     assert sites[:1] == [("linalg.py", None)], sites
-    assert set(sites[1:]) == {("linalg.py", "_lapack_eigh")}, sites
-    assert _sites(lambda node: _identifier(node) in ("eigh", "eigvalsh", "LinAlgError")) == []
+    allowed = {("linalg.py", "_lapack_eigh"), ("linalg.py", "_positive_definite")}
+    assert set(sites[1:]) == allowed, sites
+    wrappers = ("eigh", "eigvalsh", "cholesky", "LinAlgError")
+    assert _sites(lambda node: _identifier(node) in wrappers) == []
 
 
 def test_the_hermitian_part_is_written_once():
