@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -216,9 +217,9 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     p_col = np.add.reduce(table, axis=0)
     fwd, bwd = p_row > PROB_FLOOR, p_col > PROB_FLOOR
     return _verdict(
-        _entropy_bits(p_row[p_row > 0.0]),
+        _entropy_bits(p_row),
         MarginalSet._trusted(table[fwd] / p_row[fwd, None]),
-        _entropy_bits(p_col[p_col > 0.0]),
+        _entropy_bits(p_col),
         MarginalSet._trusted(table[:, bwd].T / p_col[bwd, None]),
         tie_tol,
     )
@@ -231,7 +232,10 @@ def _verdict(
     rows_bwd: MarginalSet,
     tie_tol: float,
 ) -> CausalVerdict:
-    """Both scores, cause entropy plus coupled effect rows: the one coupling site."""
+    """Both scores, cause entropy plus coupled effect rows: the one coupling site.
+    Raises ValueError for a ``tie_tol`` that is not a finite number >= 0."""
+    if not 0.0 <= tie_tol < math.inf:  # nan fails too
+        raise ValueError(f"tie_tol must be a finite number >= 0, got {tie_tol}")
     s_exo_fwd, s_exo_bwd = [
         greedy_min_entropy_coupling(rows).entropy_bits for rows in (rows_fwd, rows_bwd)
     ]

@@ -126,16 +126,22 @@ class CouplingResult:
         return tuple(map(Placement, map(tuple, self.coords.tolist()), self.masses.tolist()))
 
 
-def _entropy_bits(masses: np.ndarray) -> float:
-    """Entropy in bits of strictly positive masses; +0.0, not -0.0, for a point mass."""
-    return -float(masses @ np.log2(masses)) + 0.0
+def _entropy_bits(p: np.ndarray) -> float:
+    """Entropy in bits of probabilities or eigenvalues ``p``, the one entropy: entries
+    at most PROB_FLOOR count as zero; the terms are totalled left to right in Python
+    floats, not by sum(), which compensates its rounding on Python >= 3.12."""
+    s = 0.0
+    for v in p.tolist():
+        if v > PROB_FLOOR:
+            s -= v * math.log2(v)
+    return max(0.0, s)  # entries a rounding above one leave s just below zero
 
 
 def shannon_entropy(p) -> float:
-    """Entropy of a probability vector in bits, with 0 log 0 = 0."""
+    """Entropy of a probability vector in bits; entries at most PROB_FLOOR count as zero."""
     stack = np.asarray(p, dtype=float).reshape(1, -1)
     arr = _probability_rows(stack, "probability vector", "probability vector", MarginalError)[0]
-    return _entropy_bits(arr[arr > 0.0])
+    return _entropy_bits(arr)
 
 
 def _greedy_rounds(rows: np.ndarray, picks: list | None = None) -> tuple[list[float], float]:

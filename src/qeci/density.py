@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coupling import _entropy_bits
 from .linalg import (
     DEFAULT_TOL,
     PROB_FLOOR,
@@ -101,20 +103,25 @@ def validate_density(
     """Check the density-matrix contract and wrap the matrix.
 
     The one check of outside input: the square, finite and Hermitian check
-    of hermitian_eig (at ``tol``) plus the dims, trace and PSD checks; raises
-    DimensionMismatch, NotHermitian, TraceNotOne, or NotPSD naming the
-    measured residual, and ValueError for a ``tol`` that is not a finite
-    number >= 0. The matrix kept is the exactly Hermitian part of the input,
-    which is the input itself when that is exactly Hermitian. A positive
-    definite one is certified by a Cholesky factorization, any other checked
-    on its spectrum (see _wrap), where eigenvalues in [-tol, 0) are rounding
-    noise: clamped to zero, the matrix rebuilt, the trace renormalized to one.
+    of hermitian_eig (at ``tol``) plus the dims (integers >= 1 that multiply to
+    its dimension), trace and PSD checks; raises DimensionMismatch,
+    NotHermitian, TraceNotOne, or NotPSD naming the measured residual, and
+    ValueError for a ``tol`` that is not a finite number >= 0. The matrix
+    kept is the exactly Hermitian part of the input, which is the input
+    itself when that is exactly Hermitian. A positive definite one is
+    certified by a Cholesky factorization, any other checked on its spectrum
+    (see _wrap), where eigenvalues in [-tol, 0) are rounding noise: clamped
+    to zero, the matrix rebuilt, the trace renormalized to one.
     """
     if not 0.0 <= tol < math.inf:  # nan fails too
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     m = np.asarray(mat, dtype=complex)
-    dims = tuple(int(d) for d in (dims if np.iterable(dims) else (dims,)))
+    dims = tuple(dims) if np.iterable(dims) else (dims,)
     m = _checked_hermitian(m, tol)
+    # nan fails the comparison; a str or complex is no Real
+    if not all(isinstance(d, numbers.Real) and 1 <= d < math.inf and d == int(d) for d in dims):
+        raise DimensionMismatch(f"subsystem dims {dims} must be integers >= 1")
+    dims = tuple(map(int, dims))
     if math.prod(dims) != m.shape[0]:
         raise DimensionMismatch(
             f"subsystem dims {dims} do not multiply to matrix dimension {m.shape[0]}"
@@ -212,15 +219,8 @@ def _wrap(
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy of the eigenvalue spectrum in bits, with 0 log 0 = 0."""
-    s = 0.0
-    # Python floats: numpy's arithmetic, less overhead; totalled left to right,
-    # not by sum(), which compensates its rounding on Python >= 3.12
-    for v in rho.eig.eigenvalues.tolist():
-        if v > PROB_FLOOR:
-            s -= v * math.log2(v)
-    # eigenvalues a rounding above one leave s just below zero
-    return max(0.0, s)
+    """Entropy of the eigenvalue spectrum in bits; eigenvalues at most PROB_FLOOR count as zero."""
+    return _entropy_bits(rho.eig.eigenvalues)
 
 
 def _psd_sqrt(n: np.ndarray) -> np.ndarray:

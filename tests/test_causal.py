@@ -351,6 +351,28 @@ def test_single_level_scores_are_positive_zero():
             assert math.copysign(1.0, getattr(verdict, name)) == 1.0, name
 
 
+@pytest.mark.parametrize("tie_tol", [math.nan, -5.0, math.inf])
+def test_tie_tol_must_be_a_finite_number_at_least_zero(tie_tol):
+    # unchecked, nan would read every joint as a tie and -5.0 would turn this
+    # joint's BtoA (s_forward 2.347 > s_backward 1.852) into AtoB
+    rho = qsc_hadamard(0.4, 0.3)
+    swapped = validate_density(swap_subsystems(rho.mat, *rho.dims), rho.dims[::-1])
+    assert qeci_infer(swapped).direction is Direction.B_TO_A
+    message = f"tie_tol must be a finite number >= 0, got {tie_tol}"
+    for infer in (qeci_infer, lambda r, **kw: classical_eci(rotate_to_classical(r), **kw)):
+        with pytest.raises(ValueError) as info:
+            infer(swapped, tie_tol=tie_tol)
+        assert str(info.value) == message
+
+
+def test_a_classical_marginal_scores_as_its_diagonal_embedding():
+    # one entropy for both paths: the 1e-13 entries, at the floor, count as zero on each
+    table = JointDistribution.from_table([[0.5, 0.5 - 1e-13], [0.0, 1e-13]])
+    with pytest.warns(DegeneracyWarning):
+        quantum = qeci_infer(diag_embed(table))
+    assert classical_eci(table).s_cause_fwd == quantum.s_cause_fwd
+
+
 # -- agreement with a numpy reference --------------------------------------------
 
 REF_FLOOR = 1e-12

@@ -66,6 +66,19 @@ DENSITY_CASES = [
      "expected a square matrix, got shape (1,)"),
     ("dims mismatch", _half(), (3,), DimensionMismatch,
      "subsystem dims (3,) do not multiply to matrix dimension 2"),
+    ("negative dims", np.eye(4) / 4, (-2, -2), DimensionMismatch,
+     "subsystem dims (-2, -2) must be integers >= 1"),
+    ("fractional dims", np.eye(4) / 4, (2.9, 2.9), DimensionMismatch,
+     "subsystem dims (2.9, 2.9) must be integers >= 1"),
+    ("zero dim of an empty matrix", np.zeros((0, 0)), (0,), DimensionMismatch,
+     "subsystem dims (0,) must be integers >= 1"),
+    ("nan dim", _half(), (math.nan,), DimensionMismatch,
+     "subsystem dims (nan,) must be integers >= 1"),
+    ("inf dim", _half(), (math.inf,), DimensionMismatch,
+     "subsystem dims (inf,) must be integers >= 1"),
+    ("string dims", np.eye(4) / 4, ("2", "2"), DimensionMismatch,
+     "subsystem dims ('2', '2') must be integers >= 1"),
+    ("integral float dims", np.eye(4) / 4, (2.0, 2.0), None, None),
     ("NaN", _half(m01=np.nan), (2,), ValueError,
      "matrix contains non-finite entries"),
     ("inf", _half(m11=np.inf), (2,), ValueError,

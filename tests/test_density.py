@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from qeci import causal
 from qeci import density as density_module
-from qeci.channels import ChannelSpec
+from qeci.causal import JointDistribution
+from qeci.channels import ChannelSpec, qsc_hadamard
+from qeci.coupling import MarginalSet, greedy_min_entropy_coupling
 from qeci.density import (
     DensityMatrix,
     NotPSD,
@@ -126,19 +128,50 @@ def test_entropy_is_unitarily_invariant():
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-8
 
 
-def test_entropy_totals_its_terms_left_to_right():
-    # not by sum(), which compensates its rounding on Python >= 3.12: on these
-    # spectra of 16 x 16 Ginibre densities its bits would follow the interpreter
+def _ginibre_spectra():
     rng = np.random.default_rng(7)
     for _ in range(50):
         g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         m = g @ g.conj().T
         rho = validate_density(m / np.trace(m).real, (4, 4))
+        yield von_neumann_entropy(rho), rho.eig.eigenvalues
+
+
+def _paper_coupling():
+    rows = causal.conditional_spectra(qsc_hadamard(0.4, 0.3), "forward")
+    result = greedy_min_entropy_coupling(rows)
+    yield result.entropy_bits, result.masses
+
+
+def _table_coupling():
+    table = np.random.default_rng(7).dirichlet(np.ones(4096)).reshape(64, 64)
+    result = greedy_min_entropy_coupling(MarginalSet(rows=table / table.sum(axis=1)[:, None]))
+    yield result.entropy_bits, result.masses
+
+
+def _classical_marginals():
+    rng = np.random.default_rng(7)
+    joint = JointDistribution.from_table(rng.dirichlet(np.ones(4096)).reshape(32, 128))
+    verdict = causal.classical_eci(joint)
+    yield verdict.s_cause_fwd, np.add.reduce(joint.table, axis=1)
+    yield verdict.s_cause_bwd, np.add.reduce(joint.table, axis=0)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_ginibre_spectra, _paper_coupling, _table_coupling, _classical_marginals],
+    ids=["ginibre spectra", "paper coupling", "64x64 table coupling", "classical marginals"],
+)
+def test_entropy_totals_its_terms_left_to_right(cases):
+    # not by sum(), which compensates its rounding on Python >= 3.12, nor by a
+    # dot product, whose order is the BLAS build's: every entropy of a score,
+    # classical or quantum, drops the entries at the floor and totals the rest
+    for entropy, p in cases():
         total = 0.0
-        for v in rho.eig.eigenvalues.tolist():
+        for v in p.tolist():
             if v > PROB_FLOOR:
                 total += v * math.log2(v)
-        assert von_neumann_entropy(rho) == -total
+        assert entropy == -total
 
 
 def test_star_product_with_identity_is_identity_map():

@@ -119,6 +119,12 @@ def test_the_hermitian_part_is_written_once():
     assert set(_sites(halved_conjugate)) == {("linalg.py", "_hermitian_part")}
 
 
+def test_every_entropy_is_computed_at_one_site():
+    # von Neumann, Shannon, coupling and classical-marginal entropies all go
+    # through coupling._entropy_bits, so one floor rule and one summation order
+    assert _sites(lambda node: _identifier(node) == "log2") == [("coupling.py", "_entropy_bits")]
+
+
 def test_a_density_is_built_at_one_site():
     def constructs_density(node):
         return (
