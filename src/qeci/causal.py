@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +27,7 @@ from .linalg import (
     PROB_FLOOR,
     TIE_TOL,
     DimensionMismatch,
+    _require_tolerance,
     _smallest,
     _stack,
     partial_trace,
@@ -194,8 +194,9 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
     and prefers the smaller score. One pass builds both reduced densities,
     warns for each degenerate one, then conditions both sides: for a d x d
     joint as one stack (one hermitian_eig call, one block contraction, one
-    stacked eigvalsh), else as stacks of one.
+    stacked eigvalsh), else as stacks of one. ``tie_tol`` is checked first.
     """
+    _require_tolerance(tie_tol, "tie_tol")
     return _score(*_cause_sides(rho_ab), tie_tol)
 
 
@@ -210,8 +211,9 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
     The table was checked when ``joint`` was built, so it and the marginals
     and conditionals derived from it are trusted. Conditional rows whose
     cause state has marginal probability at the floor are skipped; their
-    conditionals are undefined.
+    conditionals are undefined. ``tie_tol`` is checked before any work.
     """
+    _require_tolerance(tie_tol, "tie_tol")
     table = joint.table
     p_row = np.add.reduce(table, axis=1)
     p_col = np.add.reduce(table, axis=0)
@@ -233,9 +235,7 @@ def _verdict(
     tie_tol: float,
 ) -> CausalVerdict:
     """Both scores, cause entropy plus coupled effect rows: the one coupling site.
-    Raises ValueError for a ``tie_tol`` that is not a finite number >= 0."""
-    if not 0.0 <= tie_tol < math.inf:  # nan fails too
-        raise ValueError(f"tie_tol must be a finite number >= 0, got {tie_tol}")
+    ``tie_tol`` was checked where it entered (qeci_infer, classical_eci)."""
     s_exo_fwd, s_exo_bwd = [
         greedy_min_entropy_coupling(rows).entropy_bits for rows in (rows_fwd, rows_bwd)
     ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import sys
 import warnings
@@ -25,7 +24,7 @@ from .fileio import (
     load_table_file,
     table_to_csv,
 )
-from .linalg import EigenConvergenceError, swap_subsystems
+from .linalg import EigenConvergenceError, _require_tolerance, swap_subsystems
 
 
 def _resolve_tol(args) -> float:
@@ -39,8 +38,7 @@ def _resolve_tol(args) -> float:
             tol = float(raw)
         except ValueError as exc:
             raise FileFormatError(f"QECI_TOL is not a number: {raw!r}") from exc
-    if not 0.0 <= tol < math.inf:  # nan fails too
-        raise FileFormatError(f"{source} must be a finite number >= 0, got {tol}")
+    _require_tolerance(tol, source, FileFormatError)
     return tol
 
 

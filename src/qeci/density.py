@@ -20,6 +20,7 @@ from .linalg import (
     _hermitian_part,
     _lapack_eigh,
     _positive_definite,
+    _require_tolerance,
     _smallest,
     _stack,
     dagger,
@@ -86,7 +87,9 @@ class PureState:
 
 
 def pure_state(vec: np.ndarray, tol: float = DEFAULT_TOL) -> PureState:
-    """Wrap a column vector as a PureState, checking normalization."""
+    """Wrap a column vector as a PureState, checking normalization: a finite ket of
+    norm 1 within ``tol``, itself a finite number >= 0; else ValueError."""
+    _require_tolerance(tol, "tol")
     ket = np.asarray(vec, dtype=complex).reshape(-1)
     require_finite(ket, "ket")
     norm = float(np.linalg.norm(ket))
@@ -113,8 +116,7 @@ def validate_density(
     (see _wrap), where eigenvalues in [-tol, 0) are rounding noise: clamped
     to zero, the matrix rebuilt, the trace renormalized to one.
     """
-    if not 0.0 <= tol < math.inf:  # nan fails too
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    _require_tolerance(tol, "tol")
     m = np.asarray(mat, dtype=complex)
     dims = tuple(dims) if np.iterable(dims) else (dims,)
     m = _checked_hermitian(m, tol)
@@ -275,20 +277,11 @@ def _conditional_blocks(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np
     (ket side) and one diagonal einsum (bra side). Returns the blocks
     (..., n, k, k) and their traces (..., n), the branch weights.
 
-    Raises ZeroProbabilityCondition when a weight is at most PROB_FLOOR.
+    It only contracts: causal._branch_kets and instance_conditional check what it takes.
     """
-    if kets.shape[-2] != r.shape[-4]:
-        raise DimensionMismatch(
-            f"condition ket dimension {kets.shape[-2]} != subsystem dimension {r.shape[-4]}"
-        )
     half = r.swapaxes(-1, -2) @ kets[..., None, None, :, :]  # half[..., c, k, l, i]
     blocks = np.einsum("...ckli,...ci->...ikl", half, kets.conj())
     weights = np.einsum("...ikk->...i", blocks).real
-    least = _smallest(weights)
-    if least <= PROB_FLOOR:
-        raise ZeroProbabilityCondition(
-            f"conditioning outcome has probability {least:.3e} <= {PROB_FLOOR:.1e}"
-        )
     return blocks, weights
 
 
@@ -323,15 +316,22 @@ def instance_conditional(
     of rho with |v><v|. The conditional is validated at the joint's scale,
     DEFAULT_TOL divided by the outcome's probability.
 
-    Raises ZeroProbabilityCondition when the outcome carries no probability
-    mass, i.e. the pre-normalization trace is at most PROB_FLOOR.
+    The outside ket is checked here alone: a dimension not the conditioned side's raises
+    DimensionMismatch, a pre-normalization trace at most PROB_FLOOR ZeroProbabilityCondition.
     """
     cause = {"first": "A", "second": "B"}.get(conditioned_side)
     if cause is None:
         raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
     r = _cause_first(rho_joint, cause)
-    blocks, weights = _conditional_blocks(r, condition_ket.ket[:, None])
+    ket = condition_ket.ket[:, None]
+    if len(ket) != len(r):
+        msg = f"condition ket dimension {len(ket)} != subsystem dimension {len(r)}"
+        raise DimensionMismatch(msg)
+    blocks, weights = _conditional_blocks(r, ket)
     weight = weights.item(0)
+    if weight <= PROB_FLOOR:
+        msg = f"conditioning outcome has probability {weight:.3e} <= {PROB_FLOOR:.1e}"
+        raise ZeroProbabilityCondition(msg)
     return validate_density(blocks[0] / weight, (blocks.shape[1],), DEFAULT_TOL / weight)
 
 

@@ -22,6 +22,12 @@ TIE_TOL = 1e-9  # scores within it tie
 DEGENERACY_GAP = 1e-8  # a spectrum with an eigenvalue gap below it is degenerate
 
 
+def _require_tolerance(value: float, name: str, error: type[ValueError] = ValueError) -> None:
+    """The rule for a tolerance argument ``name``: a finite number >= 0, else ``error``."""
+    if not 0.0 <= value < math.inf:  # nan fails too
+        raise error(f"{name} must be a finite number >= 0, got {value}")
+
+
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes or subsystem dimensions."""
 

@@ -114,6 +114,19 @@ def small_branch_joint(rng, eps: float, pure_tau: bool) -> np.ndarray:
     return u @ m @ u.conj().T
 
 
+def branch_floor_joint() -> np.ndarray:
+    """R diag(1 - lam, lam) R^T (x) I/2, R the rotation by 0.12, at lam = 1.000001e-12.
+
+    A valid product state. Side A keeps its small eigenket as a branch, whose
+    eigenvalue reads 1.0000004e-12, above PROB_FLOOR, and whose block trace
+    reads 9.999999e-13, below it.
+    """
+    c, s = math.cos(0.12), math.sin(0.12)
+    r = np.array([[c, -s], [s, c]])
+    lam = 1.000001e-12
+    return np.kron(r @ np.diag([1.0 - lam, lam]) @ r.T, np.eye(2) / 2)
+
+
 def _spectral_gap(mat: np.ndarray) -> float:
     vals = np.sort(np.linalg.eigvalsh(mat))
     return float(np.diff(vals).min()) if vals.size > 1 else np.inf

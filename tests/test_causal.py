@@ -26,7 +26,13 @@ from qeci.channels import (
     qsc_hadamard,
 )
 from qeci.classicalmap import diag_embed, rotate_to_classical
-from qeci.density import NotPSD, instance_conditional, pure_state, validate_density
+from qeci.density import (
+    NotPSD,
+    ZeroProbabilityCondition,
+    instance_conditional,
+    pure_state,
+    validate_density,
+)
 from qeci.linalg import (
     PROB_FLOOR,
     EigenConvergenceError,
@@ -38,6 +44,7 @@ from qeci.linalg import (
 )
 
 from _helpers import (
+    branch_floor_joint,
     random_density,
     random_nondegenerate_density,
     random_nondegenerate_table,
@@ -363,6 +370,51 @@ def test_tie_tol_must_be_a_finite_number_at_least_zero(tie_tol):
         with pytest.raises(ValueError) as info:
             infer(swapped, tie_tol=tie_tol)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tie_tol", [math.nan, -1.0, math.inf])
+def test_tie_tol_is_checked_before_any_work(monkeypatch, tie_tol):
+    # built, this joint's reduced densities would warn (both are I/2), and the
+    # table's marginals would be scored; neither happens before the raise
+    scored = []
+    monkeypatch.setattr(causal, "_entropy_bits", scored.append)
+    rho = validate_density(np.eye(4) / 4, (2, 2))
+    table = JointDistribution.from_table(np.full((2, 2), 0.25))
+    message = f"tie_tol must be a finite number >= 0, got {tie_tol}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for infer, joint in ((qeci_infer, rho), (classical_eci, table)):
+            with pytest.raises(ValueError) as info:
+                infer(joint, tie_tol=tie_tol)
+            assert str(info.value) == message
+    assert caught == [] and scored == []
+
+
+def test_a_branch_just_above_the_floor_is_conditioned():
+    # side A keeps a branch at eigenvalue 1.0000004e-12 > PROB_FLOOR whose
+    # block trace reads 9.999999e-13; the pass keeps it by the eigenvalue alone
+    # and does not test the trace again, so this product state ties
+    with pytest.warns(DegeneracyWarning):  # side B is I/2
+        verdict = qeci_infer(validate_density(branch_floor_joint(), (2, 2)))
+    assert verdict.direction is Direction.TIE
+    rows = conditional_spectra(validate_density(branch_floor_joint(), (2, 2)), "forward")
+    assert np.array_equal(rows.rows, [[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_no_branch_above_the_floor_is_refused():
+    # product states with a cause eigenvalue in PROB_FLOOR * (1, 1 + 3e-4]: each
+    # such eigenket is a branch, and conditioning on it never raises
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        lam = PROB_FLOOR * (1.0 + 3e-4 * (1.0 - rng.uniform()))
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = q * (r.diagonal() / np.abs(r.diagonal()))  # Haar on U(2)
+        rho_b = random_density(rng, (2,)).mat
+        mat = np.kron(u @ np.diag([1.0 - lam, lam]) @ u.conj().T, rho_b)
+        try:
+            qeci_infer(validate_density(mat, (2, 2)))
+        except ZeroProbabilityCondition as exc:
+            pytest.fail(f"branch of eigenvalue {lam!r} refused: {exc}")
 
 
 def test_a_classical_marginal_scores_as_its_diagonal_embedding():

@@ -25,7 +25,7 @@ from qeci.causal import DegeneracyWarning, JointDistribution
 from qeci.density import validate_density
 from qeci.linalg import _umath_linalg
 
-from _helpers import failing_gufunc, small_branch_joint
+from _helpers import branch_floor_joint, failing_gufunc, small_branch_joint
 
 
 @pytest.fixture()
@@ -163,6 +163,16 @@ def test_infer_accepts_a_joint_with_a_small_branch(tmp_path, capsys):
     path.write_text(dump_density(rho), encoding="utf-8")
     assert main(["infer", "--input", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_infer_accepts_a_joint_with_a_branch_just_above_the_floor(tmp_path, capsys):
+    # valid input once exited 3: its branch's eigenvalue is above PROB_FLOOR, its block trace not
+    path = tmp_path / "branch_floor.json"
+    path.write_text(dump_density(validate_density(branch_floor_joint(), (2, 2))), encoding="utf-8")
+    with pytest.warns(DegeneracyWarning):  # side B is I/2
+        assert main(["infer", "--input", str(path), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["direction"] == "Tie" and err == ""
 
 
 def test_infer_tol_reaches_the_conditionals(tmp_path, capsys):

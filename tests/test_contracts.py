@@ -1,8 +1,8 @@
 """One check per contract: what each boundary check rejects, and with which error.
 
 The tables pin, for inputs that break exactly one contract, the exception
-class and message raised by the density-matrix check and by each
-probability-vector caller. Spy tests check that validate_density runs the
+class and message raised by the density-matrix check, by each
+probability-vector caller and by the other public entry points. Spy tests check that validate_density runs the
 finiteness and hermiticity checks once and certifies a positive definite
 matrix by one Cholesky factorization, and property tests fuzz every
 boundary check with extreme entries: each call returns an object that meets
@@ -25,7 +25,12 @@ from qeci import (
     JointDistribution,
     MarginalError,
     MarginalSet,
+    conditional_spectra,
+    instance_conditional,
+    qeci_infer,
+    rotate_to_classical,
     shannon_entropy,
+    star_product,
     validate_density,
 )
 from qeci.causal import _cause_sides
@@ -36,6 +41,7 @@ from qeci.linalg import (
     NotHermitian,
     _umath_linalg,
     hermitian_eig,
+    partial_trace,
     require_finite,
 )
 
@@ -165,6 +171,56 @@ PROBABILITY_CASES = [
 def test_probability_callers_single_contract_violations(caller, violation, error, message):
     with pytest.raises(error) as info:
         CALLERS[caller](BAD_ROWS[violation])
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _uniform(*dims):
+    d = math.prod(dims)
+    return validate_density(np.eye(d) / d, dims)
+
+
+# (case, call, exception class, message): each call breaks one contract of its entry point
+ENTRY_CASES = [
+    *[
+        (f"{name} on dims {dims}", lambda call=call, dims=dims: call(_uniform(*dims)),
+         DimensionMismatch, f"need a bipartite density, got dims {dims}")
+        for dims in [(4,), (2, 2, 2)]
+        for name, call in [
+            ("qeci_infer", qeci_infer),
+            ("conditional_spectra", lambda rho: conditional_spectra(rho, "forward")),
+            ("rotate_to_classical", rotate_to_classical),
+            ("instance_conditional",
+             lambda rho: instance_conditional(rho, pure_state(np.eye(rho.dims[0])[0]), "first")),
+        ]
+    ],
+    ("instance_conditional ket of dimension 3",
+     lambda: instance_conditional(_uniform(2, 4), pure_state(np.eye(3)[0]), "first"),
+     DimensionMismatch, "condition ket dimension 3 != subsystem dimension 2"),
+    ("instance_conditional second-side ket of dimension 2",
+     lambda: instance_conditional(_uniform(2, 4), pure_state(np.eye(2)[0]), "second"),
+     DimensionMismatch, "condition ket dimension 2 != subsystem dimension 4"),
+    ("1-D JointDistribution", lambda: JointDistribution.from_table([0.5, 0.5]),
+     ValueError, "joint table must be 2-D, got shape (2,)"),
+    ("conditional_spectra direction", lambda: conditional_spectra(_uniform(2, 2), "sideways"),
+     ValueError, "direction must be 'forward' or 'backward', got 'sideways'"),
+    ("partial_trace side", lambda: partial_trace(np.eye(4) / 4, 2, 2, "C"),
+     ValueError, "traced_side must be 'A' or 'B', got 'C'"),
+    ("star_product non-square", lambda: star_product(np.zeros((2, 3)), np.eye(2)),
+     DimensionMismatch, "star product needs two square matrices"),
+    ("star_product dims that do not divide", lambda: star_product(np.eye(3) / 3, np.eye(2)),
+     DimensionMismatch, "dimension 2 does not divide 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [case[1:] for case in ENTRY_CASES],
+    ids=[case[0] for case in ENTRY_CASES],
+)
+def test_entry_points_single_contract_violations(call, error, message):
+    with pytest.raises(error) as info:
+        call()
     assert type(info.value) is error
     assert str(info.value) == message
 

@@ -298,12 +298,17 @@ CAUSE = {"first": "A", "second": "B"}
 
 
 @pytest.mark.parametrize("side", ["first", "second"])
-def test_conditional_blocks_reject_a_near_zero_branch(side):
-    # branch |1> on the conditioned side carries probability 1e-13 <= PROB_FLOOR
+def test_instance_conditional_rejects_a_near_zero_branch(side):
+    # outcome |1> on the conditioned side carries probability 1e-13 <= PROB_FLOOR;
+    # the floor is instance_conditional's, as the ket comes from outside
     diag = [1.0 - 1e-13, 0.0, 1e-13, 0.0] if side == "first" else [1.0 - 1e-13, 1e-13, 0.0, 0.0]
     rho = validate_density(np.diag(diag).astype(complex), (2, 2))
-    with pytest.raises(ZeroProbabilityCondition):
-        _conditional_blocks(_cause_first(rho, CAUSE[side]), np.eye(2, dtype=complex))
+    with pytest.raises(ZeroProbabilityCondition) as info:
+        instance_conditional(rho, pure_state([0.0, 1.0]), side)
+    assert str(info.value) == "conditioning outcome has probability 1.000e-13 <= 1.0e-12"
+    # the kernel only contracts: that branch's weight comes back as it is
+    _, weights = _conditional_blocks(_cause_first(rho, CAUSE[side]), np.eye(2, dtype=complex))
+    assert weights.tolist() == [1.0 - 1e-13, 1e-13]
 
 
 @pytest.mark.parametrize("side", ["first", "second"])
@@ -582,6 +587,15 @@ def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
         validate_density(bad, (2,), tol)
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         validate_density(np.diag([0.5, 0.5]), (2,), tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_pure_state_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # a nan or infinite tol passed a ket of norm 2; a negative one failed a unit ket
+    for ket in ([2.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(ValueError) as info:
+            pure_state(ket, tol=tol)
+        assert str(info.value) == f"tol must be a finite number >= 0, got {tol}"
 
 
 def _joint_of_rank(rng, d: int, rank: int) -> np.ndarray:

@@ -5,7 +5,9 @@ name, so each name it lists must resolve on the package; the README's
 library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
 kernels, the Hermitian part, the construction of a DensityMatrix, the
-PSD rule's NotPSD and the tolerances are each written at one site."""
+PSD rule's NotPSD, the conditioning floor's ZeroProbabilityCondition, the
+range rule of a tolerance argument and the tolerances are each written at
+one site."""
 
 import ast
 import contextlib
@@ -144,6 +146,23 @@ def test_the_psd_rule_raises_at_one_site():
         return isinstance(exc, ast.Name) and exc.id == "NotPSD"
 
     assert len(_sites(raises_not_psd)) == 1, _sites(raises_not_psd)
+
+
+def test_the_conditioning_floor_and_the_tolerance_range_are_each_written_once():
+    # the verdict pass keeps a branch by its eigenvalue alone; only an outside
+    # ket, in instance_conditional, is held to the floor on its probability
+    def raises_zero_probability(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "ZeroProbabilityCondition"
+
+    def range_message(node):
+        text = node.value if isinstance(node, ast.Constant) else None
+        return isinstance(text, str) and "must be a finite number >= 0" in text
+
+    assert _sites(raises_zero_probability) == [("density.py", "instance_conditional")]
+    assert _sites(range_message) == [("linalg.py", "_require_tolerance")]
 
 
 def _is_float_literal(node) -> bool:
