@@ -29,7 +29,6 @@ from .linalg import (
     DimensionMismatch,
     _require_tolerance,
     _smallest,
-    _stack,
     partial_trace,
 )
 
@@ -111,10 +110,10 @@ def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list
     """Reduced densities of sides ``labels``, each "A" or "B", built once per joint.
 
     Sides not in the joint's memo are built unvalidated (the partial trace of
-    a validated joint is exactly Hermitian, its trace one within TRACE_ROUNDING): by
-    one hermitian_eig call when they share a dimension, else one per side.
-    Each is gap-tested and memoized; then each degenerate side warns, in side
-    order, at ``stacklevel`` counted from here.
+    a validated joint is exactly Hermitian, its trace one within TRACE_ROUNDING)
+    by _build_densities: two of one dimension by one stacked hermitian_eig
+    call, a lone side as a matrix. Each is gap-tested and memoized; then each
+    degenerate side warns, in side order, at ``stacklevel`` counted from here.
     """
     if len(rho_ab.dims) != 2:
         raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
@@ -122,9 +121,7 @@ def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list
     missing = [label for label in labels if label not in memo]
     if missing:
         traced = [partial_trace(rho_ab.mat, *rho_ab.dims, _TRACED[label]) for label in missing]
-        same = len({h.shape for h in traced}) == 1
-        built = _build_densities(traced) if same else [_build_densities([h])[0] for h in traced]
-        for label, reduced in zip(missing, built):
+        for label, reduced in zip(missing, _build_densities(traced)):
             values = reduced.eig.eigenvalues
             gaps = values[:-1] - values[1:]
             memo[label] = (reduced, bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP)
@@ -143,24 +140,30 @@ def _branch_kets(reduced: DensityMatrix) -> np.ndarray:
     return vectors if values[-1] > PROB_FLOOR else vectors[:, values > PROB_FLOOR]
 
 
+def _conditioned(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Blocks and weights of ``r`` conditioned on ``kets``, then the blocks' spectra."""
+    blocks, weights = _conditional_blocks(r, kets)
+    return blocks, weights, _block_spectra(blocks, weights)
+
+
 def _condition(
     rho_ab: DensityMatrix, labels: tuple[str, ...], reduced: list[DensityMatrix]
 ) -> list[CauseSide]:
-    """Cause sides ``labels`` ("A" forward, "B" backward), of one dimension, as one stack.
+    """Cause sides ``labels`` ("A" forward, "B" backward) with reduced densities ``reduced``.
 
     Side A conditions the joint's cause-first tensor r[c, k, c', l], side B
     its transpose r.transpose(1, 0, 3, 2), on the eigenkets of its reduced
-    density above the branch floor: one block contraction and one stacked
-    eigvalsh for all their spectra, clamped and normalized. Sides that keep
-    different branch counts are conditioned as stacks of one.
+    density above the branch floor: one block contraction, then one eigvalsh
+    for the spectra, clamped and normalized (_block_spectra). Two sides whose
+    ket matrices share a shape go as one stack; a lone side, or two of
+    different shapes, one at a time, each on its own arrays.
     """
     kets = [_branch_kets(density) for density in reduced]
-    if len(kets) > 1 and kets[0].shape != kets[1].shape:
-        pairs = zip(labels, reduced)
-        return [_condition(rho_ab, (label,), [density])[0] for label, density in pairs]
     tensors = [_cause_first(rho_ab, label) for label in labels]
-    blocks, weights = _conditional_blocks(_stack(tensors), _stack(kets))
-    spectra = _block_spectra(blocks, weights)
+    if len(kets) == 2 and kets[0].shape == kets[1].shape:
+        blocks, weights, spectra = _conditioned(np.array(tensors), np.array(kets))
+    else:
+        blocks, weights, spectra = zip(*map(_conditioned, tensors, kets))
     return [
         CauseSide(density, kets[i], weights[i], blocks[i], MarginalSet._trusted(spectra[i]))
         for i, density in enumerate(reduced)
@@ -192,9 +195,11 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
     Scores each direction by the entropy of the cause-side reduced density
     plus the greedily coupled entropy of the effect-side conditional spectra,
     and prefers the smaller score. One pass builds both reduced densities,
-    warns for each degenerate one, then conditions both sides: for a d x d
-    joint as one stack (one hermitian_eig call, one block contraction, one
-    stacked eigvalsh), else as stacks of one. ``tie_tol`` is checked first.
+    warns for each degenerate one, then conditions both sides. A d x d joint
+    decomposes its two by one stacked hermitian_eig call and, when they keep
+    as many branches, conditions both by one block contraction and one
+    stacked eigvalsh; any other side goes alone, as a matrix. ``tie_tol`` is
+    checked first.
     """
     _require_tolerance(tie_tol, "tie_tol")
     return _score(*_cause_sides(rho_ab), tie_tol)

@@ -22,7 +22,6 @@ from .linalg import (
     _positive_definite,
     _require_tolerance,
     _smallest,
-    _stack,
     dagger,
     hermitian_eig,
     kron,
@@ -136,15 +135,18 @@ def validate_density(
 
 
 def _build_densities(hs: list[np.ndarray]) -> list[DensityMatrix]:
-    """Decompose and wrap reduced densities of a validated joint, all n by n.
+    """Decompose and wrap reduced densities of a validated joint.
 
     For causal._reduced, which reads the eigenkets at once. The partial
     trace of a validated joint is finite and exactly Hermitian with a trace
-    one to rounding, so their stack goes to one hermitian_eig call at an
-    infinite tolerance, decomposed as given, and the dims and trace checks
-    are left out; _wrap's PSD check, clamp and renormalization remain.
+    one to rounding, so it goes to hermitian_eig at an infinite tolerance,
+    decomposed as given, and the dims and trace checks are left out; _wrap's
+    PSD check, clamp and renormalization remain. Two n by n matrices share
+    one call on their stack; any other is decomposed alone, as a matrix.
     """
-    stack = _stack(hs)
+    if len(hs) != 2 or hs[0].shape != hs[1].shape:
+        return [_wrap(h, h.shape[:1], eig=hermitian_eig(h, herm_tol=math.inf)) for h in hs]
+    stack = np.array(hs)  # as np.stack, with less call overhead
     eig = hermitian_eig(stack, herm_tol=math.inf)
     traces = np.einsum("...ii", stack).tolist()
     return [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qeci
-from qeci import causal, coupling
+from qeci import causal, coupling, density
 from qeci.causal import (
     DegeneracyWarning,
     Direction,
@@ -36,6 +36,7 @@ from qeci.density import (
 from qeci.linalg import (
     PROB_FLOOR,
     EigenConvergenceError,
+    EigenDecomposition,
     dagger,
     hermitian_eig,
     kron,
@@ -675,26 +676,84 @@ def _pair_inputs():
     yield depolarizing_mixture(0.4, (0.6, 0.8), (2**-0.5, 2**-0.5), 0.75)  # side B degenerate
     yield _product_with_a_pure_side()  # sides of one and two branches
     yield random_density(rng, (2, 3))
+    yield random_density(rng, (2, 8))  # the benchmark's lone sides
+    yield random_density(rng, (8, 2))
+    g = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    yield validate_density(g @ g.conj().T / np.linalg.norm(g) ** 2, (4, 2))  # rank 2
 
 
-def test_stacked_pair_equals_each_side_alone():
-    # qeci_infer conditions both directions in one stacked pass; each side
-    # must be what a stack of one makes of it, bit for bit
+def _as_stacks_of_one(monkeypatch) -> None:
+    """From now on, hand the inference kernels each lone reduced density, and
+    each lone side's tensor and kets, as a stack of one."""
+
+    def eig(a, herm_tol):
+        stacked = hermitian_eig(a[None], herm_tol=herm_tol)
+        return EigenDecomposition(stacked.eigenvalues[0], stacked.eigenvectors[0])
+
+    def conditioned(r, kets, kernel=causal._conditioned):
+        return [out[0] for out in kernel(r[None], kets[None])]
+
+    monkeypatch.setattr(density, "hermitian_eig", eig)
+    monkeypatch.setattr(causal, "_conditioned", conditioned)
+
+
+def test_stacked_pair_equals_each_side_alone(monkeypatch):
+    # qeci_infer conditions the two sides of a d x d joint in one stacked
+    # pass and any other side alone, as matrices; each side must be what a
+    # lone pass and a pass through stacks of one make of it, bit for bit
     for rho in _pair_inputs():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneracyWarning)
             pair = causal._cause_sides(rho)
+            with monkeypatch.context() as patched:
+                _as_stacks_of_one(patched)
+                stacked = [
+                    causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
+                    for label in ("A", "B")
+                ]
             alone = [
                 causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
                 for label in ("A", "B")
             ]
-        for stacked, single in zip(pair, alone):
-            for name in ("kets", "weights", "blocks"):
-                assert np.array_equal(getattr(stacked, name), getattr(single, name)), name
-            assert np.array_equal(stacked.rows.rows, single.rows.rows)
-            assert np.array_equal(stacked.reduced.mat, single.reduced.mat)
-            assert np.array_equal(stacked.reduced.eig.eigenvalues, single.reduced.eig.eigenvalues)
-            assert np.array_equal(stacked.reduced.eig.eigenvectors, single.reduced.eig.eigenvectors)
+        for sides in zip(pair, alone, stacked):
+            for side in sides[1:]:
+                for name in ("kets", "weights", "blocks"):
+                    assert np.array_equal(getattr(sides[0], name), getattr(side, name)), name
+                assert np.array_equal(sides[0].rows.rows, side.rows.rows)
+                assert np.array_equal(sides[0].reduced.mat, side.reduced.mat)
+                for name in ("eigenvalues", "eigenvectors"):
+                    ref, got = getattr(sides[0].reduced.eig, name), getattr(side.reduced.eig, name)
+                    assert np.array_equal(ref, got), name
+
+
+def test_a_lone_side_goes_to_the_kernels_as_a_matrix(monkeypatch):
+    # a d x d joint decomposes and conditions its two sides as one stack;
+    # a d_A != d_B joint, and conditional_spectra's one side, go alone, with
+    # no leading axis of one
+    shapes = []
+
+    def recording(kernel):
+        def call(a, *args, **kwargs):
+            shapes.append((kernel.__name__, a.shape))
+            return kernel(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(density, "hermitian_eig", recording(hermitian_eig))
+    monkeypatch.setattr(causal, "_block_spectra", recording(density._block_spectra))
+    rng = np.random.default_rng(11)
+    qeci_infer(random_density(rng, (4, 4)))
+    assert shapes == [("hermitian_eig", (2, 4, 4)), ("_block_spectra", (2, 4, 4, 4))]
+    rho = random_density(rng, (2, 8))
+    del shapes[:]
+    qeci_infer(rho)
+    forward = [("hermitian_eig", (2, 2)), ("_block_spectra", (2, 8, 8))]
+    backward = [("hermitian_eig", (8, 8)), ("_block_spectra", (8, 2, 2))]
+    assert shapes == [forward[0], backward[0], forward[1], backward[1]]
+    for direction, want in (("forward", forward), ("backward", backward)):
+        del shapes[:]
+        conditional_spectra(dataclasses.replace(rho, _memo={}), direction)
+        assert shapes == want
 
 
 _DEGENERATE = (

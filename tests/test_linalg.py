@@ -224,9 +224,10 @@ def test_hermitian_eig_maps_lapack_failure(monkeypatch):
             hermitian_eig(np.eye(2, dtype=complex))
 
 
-# the shapes the library decomposes: 2-D matrices, the stacked reduced
-# densities of a d x d joint, stacks of one, the stacked conditionals, and
-# empty ones
+# the shapes the library decomposes: 2-D matrices (a lone reduced density
+# among them), the stacked reduced densities of a d x d joint, a lone side's
+# (n, k, k) conditionals (of one branch too), both sides' stacked
+# conditionals, and empty ones
 _KERNEL_SHAPES = [
     (2, 2), (2, 2, 2), (2, 4, 4), (1, 8, 8), (8, 2, 2), (2, 4, 4, 4), (16, 16), (0, 0), (2, 0, 0)
 ]
