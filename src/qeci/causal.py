@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -17,18 +18,20 @@ from .coupling import (
 from .density import (
     DensityMatrix,
     _block_spectra,
-    _build_densities,
     _cause_first,
     _conditional_blocks,
+    _joint_dims,
+    _wrap,
     von_neumann_entropy,
 )
 from .linalg import (
     DEGENERACY_GAP,
     PROB_FLOOR,
     TIE_TOL,
-    DimensionMismatch,
+    EigenDecomposition,
     _require_tolerance,
     _smallest,
+    hermitian_eig,
     partial_trace,
 )
 
@@ -106,22 +109,41 @@ class CauseSide:
     rows: MarginalSet
 
 
+def _by_side(kernel, *arrays) -> list[tuple]:
+    """The stacking rule: each side's outputs of ``kernel``, ``arrays`` one list per argument.
+
+    More than one side whose arrays all share their shapes go as one call on
+    the np.array stacks (as np.stack, with less overhead), each output split
+    back along axis 0; any other side goes alone, as a matrix. The kernels
+    act on a stack as on each of its matrices alone, bit for bit.
+    """
+    if len(arrays[0]) > 1 and all(a.shape == arg[0].shape for arg in arrays for a in arg[1:]):
+        return list(zip(*kernel(*[np.array(arg) for arg in arrays])))
+    return [kernel(*side) for side in zip(*arrays)]
+
+
+def _decomposed(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig of library-built reduced densities, as given, as (values, vectors)."""
+    eig = hermitian_eig(h, herm_tol=math.inf)
+    return eig.eigenvalues, eig.eigenvectors
+
+
 def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list[DensityMatrix]:
     """Reduced densities of sides ``labels``, each "A" or "B", built once per joint.
 
-    Sides not in the joint's memo are built unvalidated (the partial trace of
-    a validated joint is exactly Hermitian, its trace one within TRACE_ROUNDING)
-    by _build_densities: two of one dimension by one stacked hermitian_eig
-    call, a lone side as a matrix. Each is gap-tested and memoized; then each
+    Sides not in the joint's memo are decomposed through _by_side and wrapped
+    with _wrap's PSD check, clamp and renormalization but no dims or trace
+    check (a partial trace of a validated joint is exactly Hermitian, its
+    trace one within TRACE_ROUNDING), then gap-tested and memoized; then each
     degenerate side warns, in side order, at ``stacklevel`` counted from here.
     """
-    if len(rho_ab.dims) != 2:
-        raise DimensionMismatch(f"need a bipartite density, got dims {rho_ab.dims}")
+    dims = _joint_dims(rho_ab)
     memo = rho_ab._memo
     missing = [label for label in labels if label not in memo]
     if missing:
-        traced = [partial_trace(rho_ab.mat, *rho_ab.dims, _TRACED[label]) for label in missing]
-        for label, reduced in zip(missing, _build_densities(traced)):
+        traced = [partial_trace(rho_ab.mat, *dims, _TRACED[label]) for label in missing]
+        for label, h, eig in zip(missing, traced, _by_side(_decomposed, traced)):
+            reduced = _wrap(h, h.shape[:1], eig=EigenDecomposition(*eig))
             values = reduced.eig.eigenvalues
             gaps = values[:-1] - values[1:]
             memo[label] = (reduced, bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP)
@@ -146,34 +168,22 @@ def _conditioned(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, ...]:
     return blocks, weights, _block_spectra(blocks, weights)
 
 
-def _condition(
-    rho_ab: DensityMatrix, labels: tuple[str, ...], reduced: list[DensityMatrix]
-) -> list[CauseSide]:
-    """Cause sides ``labels`` ("A" forward, "B" backward) with reduced densities ``reduced``.
+def _cause_sides(rho_ab: DensityMatrix, labels=("A", "B")) -> list[CauseSide]:
+    """Cause sides ``labels`` ("A" forward, "B" backward): _reduced, then conditioning.
 
     Side A conditions the joint's cause-first tensor r[c, k, c', l], side B
     its transpose r.transpose(1, 0, 3, 2), on the eigenkets of its reduced
-    density above the branch floor: one block contraction, then one eigvalsh
-    for the spectra, clamped and normalized (_block_spectra). Two sides whose
-    ket matrices share a shape go as one stack; a lone side, or two of
-    different shapes, one at a time, each on its own arrays.
+    density above the branch floor, through _by_side: one block contraction,
+    then one eigvalsh for the spectra (_conditioned). Warns at the line that
+    called its caller; the first error stops the pass.
     """
+    reduced = _reduced(rho_ab, labels, 4)
     kets = [_branch_kets(density) for density in reduced]
-    tensors = [_cause_first(rho_ab, label) for label in labels]
-    if len(kets) == 2 and kets[0].shape == kets[1].shape:
-        blocks, weights, spectra = _conditioned(np.array(tensors), np.array(kets))
-    else:
-        blocks, weights, spectra = zip(*map(_conditioned, tensors, kets))
+    sides = _by_side(_conditioned, [_cause_first(rho_ab, label) for label in labels], kets)
     return [
-        CauseSide(density, kets[i], weights[i], blocks[i], MarginalSet._trusted(spectra[i]))
-        for i, density in enumerate(reduced)
+        CauseSide(density, ket, weights, blocks, MarginalSet._trusted(spectra))
+        for density, ket, (blocks, weights, spectra) in zip(reduced, kets, sides)
     ]
-
-
-def _cause_sides(rho_ab: DensityMatrix, labels=("A", "B")) -> list[CauseSide]:
-    """Cause sides ``labels`` ("A" forward, "B" backward): _reduced, then _condition.
-    Warns at the line that called its caller; the first error stops the pass."""
-    return _condition(rho_ab, labels, _reduced(rho_ab, labels, 4))
 
 
 def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
@@ -195,11 +205,8 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
     Scores each direction by the entropy of the cause-side reduced density
     plus the greedily coupled entropy of the effect-side conditional spectra,
     and prefers the smaller score. One pass builds both reduced densities,
-    warns for each degenerate one, then conditions both sides. A d x d joint
-    decomposes its two by one stacked hermitian_eig call and, when they keep
-    as many branches, conditions both by one block contraction and one
-    stacked eigvalsh; any other side goes alone, as a matrix. ``tie_tol`` is
-    checked first.
+    warns for each degenerate one, then conditions both sides, stacked or
+    alone by _by_side's rule. ``tie_tol`` is checked first.
     """
     _require_tolerance(tie_tol, "tie_tol")
     return _score(*_cause_sides(rho_ab), tie_tol)

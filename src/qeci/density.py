@@ -134,27 +134,6 @@ def validate_density(
     return _wrap(_hermitian_part(m), dims, tol, trace=trace)
 
 
-def _build_densities(hs: list[np.ndarray]) -> list[DensityMatrix]:
-    """Decompose and wrap reduced densities of a validated joint.
-
-    For causal._reduced, which reads the eigenkets at once. The partial
-    trace of a validated joint is finite and exactly Hermitian with a trace
-    one to rounding, so it goes to hermitian_eig at an infinite tolerance,
-    decomposed as given, and the dims and trace checks are left out; _wrap's
-    PSD check, clamp and renormalization remain. Two n by n matrices share
-    one call on their stack; any other is decomposed alone, as a matrix.
-    """
-    if len(hs) != 2 or hs[0].shape != hs[1].shape:
-        return [_wrap(h, h.shape[:1], eig=hermitian_eig(h, herm_tol=math.inf)) for h in hs]
-    stack = np.array(hs)  # as np.stack, with less call overhead
-    eig = hermitian_eig(stack, herm_tol=math.inf)
-    traces = np.einsum("...ii", stack).tolist()
-    return [
-        _wrap(h, h.shape[:1], eig=EigenDecomposition(values, vectors), trace=trace)
-        for h, trace, values, vectors in zip(hs, traces, eig.eigenvalues, eig.eigenvectors)
-    ]
-
-
 def _require_psd(least: float, tol: float) -> None:
     """The PSD rule: a smallest eigenvalue ``least`` below -``tol`` raises NotPSD."""
     if least < -tol:
@@ -256,15 +235,20 @@ def star_product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return sandwich @ m @ sandwich
 
 
+def _joint_dims(rho: DensityMatrix) -> tuple[int, ...]:
+    """The bipartite rule: a joint's dims (dim_a, dim_b); other dims raise DimensionMismatch."""
+    if len(rho.dims) != 2:
+        raise DimensionMismatch(f"need a bipartite density, got dims {rho.dims}")
+    return rho.dims
+
+
 def _cause_first(rho_joint: DensityMatrix, cause: str) -> np.ndarray:
     """The joint as a tensor r[c, k, c', l]: c, c' on the ``cause`` side, k, l on the other.
 
     ``cause`` "A" is the joint's own index order (see linalg._bipartite);
     "B" is its transpose r.transpose(1, 0, 3, 2), a view.
     """
-    if len(rho_joint.dims) != 2:
-        raise DimensionMismatch(f"need a bipartite density, got dims {rho_joint.dims}")
-    r = _bipartite(rho_joint.mat, *rho_joint.dims)
+    r = _bipartite(rho_joint.mat, *_joint_dims(rho_joint))
     return r.transpose(1, 0, 3, 2) if cause == "B" else r
 
 
@@ -313,10 +297,10 @@ def instance_conditional(
     """Reduced state of one subsystem given a pure-state outcome on the other.
 
     The outcome |v> is applied as a partial inner product on the conditioned
-    side, (<v| (x) I) rho (|v> (x) I), and the result is normalized by its
-    trace. This equals tracing the conditioned side out of the star product
-    of rho with |v><v|. The conditional is validated at the joint's scale,
-    DEFAULT_TOL divided by the outcome's probability.
+    side, (<v| (x) I) rho (|v> (x) I), by the verdict pass's contraction
+    (_conditional_blocks), and normalized by its trace: the conditioned side
+    traced out of the star product of rho with |v><v|. It is validated at
+    the joint's scale, DEFAULT_TOL divided by the outcome's probability.
 
     The outside ket is checked here alone: a dimension not the conditioned side's raises
     DimensionMismatch, a pre-normalization trace at most PROB_FLOOR ZeroProbabilityCondition.

@@ -57,13 +57,14 @@ def load_density_file(path: str, tol: float = DEFAULT_TOL) -> DensityMatrix:
         raise FileFormatError(f"{path}: 'dims' must be a non-empty array of positive integers")
     raw = doc["matrix"]
     try:
-        mat = np.array([[_entry(cell) for cell in row] for row in raw], dtype=complex)
+        rows = [[_entry(cell) for cell in row] for row in raw]
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: matrix entries must be [re, im] pairs") from exc
+    if len(set(map(len, rows))) > 1:  # before np.array, which raises on ragged rows
+        raise FileFormatError(f"{path}: matrix rows have unequal lengths")
+    mat = np.array(rows, dtype=complex)
     if mat.size == 0:
         raise FileFormatError(f"{path}: matrix is empty")
-    if mat.ndim != 2:
-        raise FileFormatError(f"{path}: matrix rows have unequal lengths")
     return validate_density(mat, dims, tol)
 
 

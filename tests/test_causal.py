@@ -36,7 +36,6 @@ from qeci.density import (
 from qeci.linalg import (
     PROB_FLOOR,
     EigenConvergenceError,
-    EigenDecomposition,
     dagger,
     hermitian_eig,
     kron,
@@ -682,19 +681,18 @@ def _pair_inputs():
     yield validate_density(g @ g.conj().T / np.linalg.norm(g) ** 2, (4, 2))  # rank 2
 
 
-def _as_stacks_of_one(monkeypatch) -> None:
-    """From now on, hand the inference kernels each lone reduced density, and
-    each lone side's tensor and kets, as a stack of one."""
+def _as_stacks_of_one(monkeypatch) -> list:
+    """From now on, stack every side for the inference kernels, a lone one as a
+    stack of one; append the shape of each stack's first argument."""
+    shapes = []
 
-    def eig(a, herm_tol):
-        stacked = hermitian_eig(a[None], herm_tol=herm_tol)
-        return EigenDecomposition(stacked.eigenvalues[0], stacked.eigenvectors[0])
+    def stacked(kernel, *arrays):
+        stacks = list(map(np.array, arrays))
+        shapes.append(stacks[0].shape)
+        return list(zip(*kernel(*stacks)))
 
-    def conditioned(r, kets, kernel=causal._conditioned):
-        return [out[0] for out in kernel(r[None], kets[None])]
-
-    monkeypatch.setattr(density, "hermitian_eig", eig)
-    monkeypatch.setattr(causal, "_conditioned", conditioned)
+    monkeypatch.setattr(causal, "_by_side", stacked)
+    return shapes
 
 
 def test_stacked_pair_equals_each_side_alone(monkeypatch):
@@ -706,11 +704,13 @@ def test_stacked_pair_equals_each_side_alone(monkeypatch):
             warnings.simplefilter("ignore", DegeneracyWarning)
             pair = causal._cause_sides(rho)
             with monkeypatch.context() as patched:
-                _as_stacks_of_one(patched)
+                shapes = _as_stacks_of_one(patched)
                 stacked = [
                     causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
                     for label in ("A", "B")
                 ]
+            # each side was decomposed and conditioned as a stack of one
+            assert [shape[0] for shape in shapes] == [1] * 4
             alone = [
                 causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
                 for label in ("A", "B")
@@ -739,7 +739,9 @@ def test_a_lone_side_goes_to_the_kernels_as_a_matrix(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(density, "hermitian_eig", recording(hermitian_eig))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
+            monkeypatch.setattr(module, "hermitian_eig", recording(hermitian_eig))
     monkeypatch.setattr(causal, "_block_spectra", recording(density._block_spectra))
     rng = np.random.default_rng(11)
     qeci_infer(random_density(rng, (4, 4)))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -575,6 +576,65 @@ def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, command, 
     assert out == "" and err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
     assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _exit_2_line(capsys, argv) -> str:
+    """Run the CLI; expect exit 2, nothing on stdout and one stderr line, returned."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_a_ragged_matrix_is_reported_as_ragged(tmp_path, capsys):
+    # rows of good pairs, of unequal lengths; a bad pair keeps its own message
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}), encoding="utf-8")
+    err = _exit_2_line(capsys, ["infer", "--input", str(path)])
+    assert err == f"error: {path}: matrix rows have unequal lengths\n"
+    path.write_text(json.dumps({"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0.5], [0, 0]]]}), encoding="utf-8")
+    err = _exit_2_line(capsys, ["infer", "--input", str(path)])
+    assert err == f"error: {path}: matrix entries must be [re, im] pairs\n"
+
+
+def test_a_non_numeric_env_tol_exits_2(qsc_file, capsys, monkeypatch):
+    monkeypatch.setenv("QECI_TOL", "abc")
+    assert _exit_2_line(capsys, ["infer", "--input", qsc_file]) == (
+        "error: QECI_TOL is not a number: 'abc'\n"
+    )
+
+
+_SWEEP = ["sweep", "--channel", "qsc", "--q", "0.4", "--p-start", "0.1", "--p-end", "0.2"]
+
+
+def test_a_sweep_of_no_steps_exits_2(capsys):
+    err = _exit_2_line(capsys, [*_SWEEP, "--steps", "0"])
+    assert err == "error: steps must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, use",
+    [(["infer"], "inference"), (["map-classical", "--mode", "rotate"], "rotation")],
+    ids=["infer", "rotate"],
+)
+def test_a_density_of_one_subsystem_exits_2(tmp_path, capsys, argv, use):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dims": [4], "matrix": _matrix_payload(np.eye(4) / 4)}), encoding="utf-8")
+    err = _exit_2_line(capsys, [*argv, "--input", str(path)])
+    assert err == f"error: {path}: {use} needs exactly two subsystem dims, got (4,)\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_write_that_fails_after_the_out_check_exits_2(capsys):
+    # /dev/full passes _check_out (it exists and is writable); the write itself fails
+    err = _exit_2_line(capsys, [*_SWEEP, "--steps", "2", "--out", "/dev/full"])
+    assert err.startswith("error: cannot write /dev/full: [Errno 28]")
+
+
+def test_a_missing_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    err = _exit_2_line(capsys, ["infer", "--input", str(path)])
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_largest_float_as_an_integer_is_a_number(tmp_path, capsys):

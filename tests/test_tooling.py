@@ -5,9 +5,10 @@ name, so each name it lists must resolve on the package; the README's
 library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
 kernels, the Hermitian part, the construction of a DensityMatrix, the
-PSD rule's NotPSD, the conditioning floor's ZeroProbabilityCondition, the
-range rule of a tolerance argument and the tolerances are each written at
-one site."""
+PSD rule's NotPSD, the bipartite rule, the stack-or-alone choice of the
+verdict pass, the conditioning floor's ZeroProbabilityCondition, the range
+rule of a tolerance argument and the tolerances are each written at one
+site."""
 
 import ast
 import contextlib
@@ -146,6 +147,26 @@ def test_the_psd_rule_raises_at_one_site():
         return isinstance(exc, ast.Name) and exc.id == "NotPSD"
 
     assert len(_sites(raises_not_psd)) == 1, _sites(raises_not_psd)
+
+
+def test_the_bipartite_rule_raises_at_one_site():
+    def bipartite_message(node):
+        text = node.value if isinstance(node, ast.Constant) else None
+        return isinstance(text, str) and text.startswith("need a bipartite density")
+
+    assert _sites(bipartite_message) == [("density.py", "_joint_dims")]
+
+
+def test_stack_or_alone_is_decided_at_one_site():
+    # a comparison of two .shape attributes decides whether sides share one
+    # kernel call; the verdict pass makes that choice in causal._by_side alone
+    def compares_shapes(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return all(isinstance(n, ast.Attribute) and n.attr == "shape" for n in operands)
+
+    assert _sites(compares_shapes) == [("causal.py", "_by_side")]
 
 
 def test_the_conditioning_floor_and_the_tolerance_range_are_each_written_once():
