@@ -37,6 +37,10 @@ from .linalg import (
 
 # per cause side: the subsystem traced out of the joint
 _TRACED = {"A": "B", "B": "A"}
+_DEGENERATE = (
+    "reduced density of side {} has near-degenerate eigenvalues; "
+    "the conditioning eigenbasis is not unique"
+)
 
 
 class DegeneracyWarning(UserWarning):
@@ -109,6 +113,43 @@ class CauseSide:
     rows: MarginalSet
 
 
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """The record of one verdict pass over sides of ``rho_ab``, built by _reduced.
+
+    ``rho_ab.dims`` passed the bipartite rule; ``reduced`` holds the sides'
+    reduced densities by label ("A" or "B"), in side order, ``degenerate`` the
+    labels of those that failed the eigen-gap test. ``sides`` is computed on first read
+    and kept, ``verdict`` from it, so a conditioning error raises there, after any warning.
+    """
+
+    rho_ab: DensityMatrix
+    reduced: dict[str, DensityMatrix]
+    degenerate: list[str]
+    tie_tol: float
+
+    @property
+    def sides(self) -> list[CauseSide]:
+        """Each side's _cause_first tensor conditioned on _branch_kets, through _by_side; kept
+        by hand, as functools.cached_property locks each first read before Python 3.12."""
+        if "sides" not in self.__dict__:
+            kets = [_branch_kets(density) for density in self.reduced.values()]
+            tensors = [_cause_first(self.rho_ab.mat, self.rho_ab.dims, s) for s in self.reduced]
+            outs = _by_side(_conditioned, tensors, kets)
+            self.__dict__["sides"] = [
+                CauseSide(density, ket, weights, blocks, MarginalSet._trusted(rows))
+                for density, ket, (blocks, weights, rows) in zip(self.reduced.values(), kets, outs)
+            ]
+        return self.__dict__["sides"]
+
+    @property
+    def verdict(self) -> CausalVerdict:
+        """The verdict of a pass over sides ("A", "B"), forward then backward, per read."""
+        fwd, bwd = self.sides
+        s_fwd, s_bwd = von_neumann_entropy(fwd.reduced), von_neumann_entropy(bwd.reduced)
+        return _verdict(s_fwd, fwd.rows, s_bwd, bwd.rows, self.tie_tol)
+
+
 def _by_side(kernel, *arrays) -> list[tuple]:
     """The stacking rule: each side's outputs of ``kernel``, ``arrays`` one list per argument.
 
@@ -128,14 +169,13 @@ def _decomposed(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig.eigenvalues, eig.eigenvectors
 
 
-def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list[DensityMatrix]:
-    """Reduced densities of sides ``labels``, each "A" or "B", built once per joint.
+def _reduced(rho_ab: DensityMatrix, labels=("A", "B"), tie_tol: float = TIE_TOL) -> _Pass:
+    """The reduced stage of a verdict pass over sides ``labels``, each "A" or "B": its record.
 
-    Sides not in the joint's memo are decomposed through _by_side and wrapped
-    with _wrap's PSD check, clamp and renormalization but no dims or trace
-    check (a partial trace of a validated joint is exactly Hermitian, its
-    trace one within TRACE_ROUNDING), then gap-tested and memoized; then each
-    degenerate side warns, in side order, at ``stacklevel`` counted from here.
+    Checks the bipartite rule once. Sides not in the joint's memo are decomposed through
+    _by_side and wrapped with _wrap's PSD check, clamp and renormalization but no dims or
+    trace check (a partial trace of a validated joint is exactly Hermitian, its trace one
+    within TRACE_ROUNDING), then gap-tested and memoized. Nothing warns here (see _warned).
     """
     dims = _joint_dims(rho_ab)
     memo = rho_ab._memo
@@ -147,12 +187,16 @@ def _reduced(rho_ab: DensityMatrix, labels: tuple[str, ...], stacklevel) -> list
             values = reduced.eig.eigenvalues
             gaps = values[:-1] - values[1:]
             memo[label] = (reduced, bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP)
-    for label in labels:
-        if memo[label][1]:
-            msg = f"reduced density of side {label} has near-degenerate eigenvalues; "
-            msg += "the conditioning eigenbasis is not unique"
-            warnings.warn(msg, DegeneracyWarning, stacklevel=stacklevel)
-    return [memo[label][0] for label in labels]
+    degenerate = [label for label in labels if memo[label][1]]
+    return _Pass(rho_ab, {label: memo[label][0] for label in labels}, degenerate, tie_tol)
+
+
+def _warned(run: _Pass) -> _Pass:
+    """The one DegeneracyWarning site: each degenerate side of ``run`` warns, in
+    side order, at the line that called the public function that called this."""
+    for label in run.degenerate:
+        warnings.warn(_DEGENERATE.format(label), DegeneracyWarning, stacklevel=3)
+    return run
 
 
 def _branch_kets(reduced: DensityMatrix) -> np.ndarray:
@@ -168,24 +212,6 @@ def _conditioned(r: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, ...]:
     return blocks, weights, _block_spectra(blocks, weights)
 
 
-def _cause_sides(rho_ab: DensityMatrix, labels=("A", "B")) -> list[CauseSide]:
-    """Cause sides ``labels`` ("A" forward, "B" backward): _reduced, then conditioning.
-
-    Side A conditions the joint's cause-first tensor r[c, k, c', l], side B
-    its transpose r.transpose(1, 0, 3, 2), on the eigenkets of its reduced
-    density above the branch floor, through _by_side: one block contraction,
-    then one eigvalsh for the spectra (_conditioned). Warns at the line that
-    called its caller; the first error stops the pass.
-    """
-    reduced = _reduced(rho_ab, labels, 4)
-    kets = [_branch_kets(density) for density in reduced]
-    sides = _by_side(_conditioned, [_cause_first(rho_ab, label) for label in labels], kets)
-    return [
-        CauseSide(density, ket, weights, blocks, MarginalSet._trusted(spectra))
-        for density, ket, (blocks, weights, spectra) in zip(reduced, kets, sides)
-    ]
-
-
 def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
     """Spectra of the effect-side conditionals, one row per cause eigenbranch.
 
@@ -196,7 +222,7 @@ def conditional_spectra(rho_ab: DensityMatrix, direction: str) -> MarginalSet:
     label = {"forward": "A", "backward": "B"}.get(direction)
     if label is None:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    return _cause_sides(rho_ab, (label,))[0].rows
+    return _warned(_reduced(rho_ab, (label,))).sides[0].rows
 
 
 def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict:
@@ -204,17 +230,12 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
 
     Scores each direction by the entropy of the cause-side reduced density
     plus the greedily coupled entropy of the effect-side conditional spectra,
-    and prefers the smaller score. One pass builds both reduced densities,
-    warns for each degenerate one, then conditions both sides, stacked or
-    alone by _by_side's rule. ``tie_tol`` is checked first.
+    and prefers the smaller score. One pass (_Pass) builds both reduced
+    densities, warns for each degenerate one, then conditions both sides,
+    stacked or alone by _by_side's rule. ``tie_tol`` is checked first.
     """
     _require_tolerance(tie_tol, "tie_tol")
-    return _score(*_cause_sides(rho_ab), tie_tol)
-
-
-def _score(fwd: CauseSide, bwd: CauseSide, tie_tol: float = TIE_TOL) -> CausalVerdict:
-    s_cause_fwd, s_cause_bwd = von_neumann_entropy(fwd.reduced), von_neumann_entropy(bwd.reduced)
-    return _verdict(s_cause_fwd, fwd.rows, s_cause_bwd, bwd.rows, tie_tol)
+    return _warned(_reduced(rho_ab, tie_tol=tie_tol)).verdict
 
 
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:

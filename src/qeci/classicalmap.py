@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .causal import JointDistribution, _reduced
+from .causal import JointDistribution, _reduced, _warned
 from .density import DensityMatrix, _wrap
 from .linalg import _hermitian_part, dagger, kron
 
@@ -29,12 +29,11 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     matrices and takes the real diagonal, clamped to nonnegative and
     renormalized, as the table that JointDistribution checks. Rows and
     columns follow descending marginal eigenvalues. Both reduced densities
-    are built as qeci_infer builds them, then each degenerate one warns;
-    after qeci_infer on the same joint they come from the joint's memo, so
-    nothing is decomposed again.
+    come from the record of a verdict pass (causal._Pass), as in qeci_infer,
+    and each degenerate one warns; after qeci_infer on the same joint they
+    come from the joint's memo, so nothing is decomposed again.
     """
-    # stacklevel 3 names the line that called rotate_to_classical
-    reduced_a, reduced_b = _reduced(rho_ab, ("A", "B"), 3)
+    reduced_a, reduced_b = _warned(_reduced(rho_ab)).reduced.values()
     u = kron(reduced_a.eig.eigenvectors, reduced_b.eig.eigenvectors)
     rotated = dagger(u) @ rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)

@@ -7,15 +7,14 @@ import errno
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
-from .causal import CauseSide, _cause_sides, _score, qeci_infer
+from .causal import _DEGENERATE, CauseSide, _reduced, qeci_infer
 from .channels import ChannelSpec, _check_prob, qsc_computational
 from .classicalmap import diag_embed, rotate_to_classical
 from .coupling import greedy_min_entropy_coupling
-from .density import DEFAULT_TOL, DensityMatrix
+from .density import DEFAULT_TOL, DensityMatrix, _joint_dims
 from .fileio import (
     FileFormatError,
     dump_density,
@@ -24,7 +23,7 @@ from .fileio import (
     load_table_file,
     table_to_csv,
 )
-from .linalg import EigenConvergenceError, _require_tolerance, swap_subsystems
+from .linalg import DimensionMismatch, EigenConvergenceError, _require_tolerance, swap_subsystems
 
 
 def _resolve_tol(args) -> float:
@@ -71,17 +70,17 @@ def _write_text(text: str, out_path: str | None) -> None:
         raise FileFormatError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _load_bipartite(args, use: str) -> DensityMatrix:
+def _load_bipartite(args) -> DensityMatrix:
     rho = load_density_file(args.input, _resolve_tol(args))
-    if len(rho.dims) != 2:
-        raise FileFormatError(
-            f"{args.input}: {use} needs exactly two subsystem dims, got {rho.dims}"
-        )
+    try:
+        _joint_dims(rho)
+    except DimensionMismatch as exc:
+        raise FileFormatError(f"{args.input}: {exc}") from exc
     return rho
 
 
 def cmd_infer(args) -> int:
-    verdict = qeci_infer(_load_bipartite(args, "inference"))
+    verdict = qeci_infer(_load_bipartite(args))
     if args.json:
         # CausalVerdict's fields, in order, with the direction's value
         print(json.dumps({**vars(verdict), "direction": verdict.direction.value}))
@@ -117,17 +116,18 @@ def cmd_sweep(args) -> int:
     _check_out(args.out)
     lines = ["p,s_forward,s_backward,delta,direction"]
     for p in sorted(grid):
+        degenerate = ()
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                verdict = qeci_infer(spec.joint(p))
+            run = _reduced(spec.joint(p))
+            degenerate = run.degenerate
+            verdict = run.verdict
         except (ValueError, EigenConvergenceError) as exc:
             print(f"warning: p={p:.10g} failed: {exc}", file=sys.stderr)
             lines.append(f"{p:.10g},nan,nan,nan,error")
             continue
         finally:
-            for w in caught:
-                print(f"warning: p={p:.10g}: {w.message}", file=sys.stderr)
+            for label in degenerate:
+                print(f"warning: p={p:.10g}: {_DEGENERATE.format(label)}", file=sys.stderr)
         direction = verdict.direction.arrow
         if p in (0.0, 1.0):
             # direction is formally undecidable at the symmetric endpoints
@@ -155,7 +155,7 @@ def cmd_map_classical(args) -> int:
     if args.mode == "embed":
         text = dump_density(diag_embed(load_table_file(args.input))) + "\n"
     else:
-        text = table_to_csv(rotate_to_classical(_load_bipartite(args, "rotation")))
+        text = table_to_csv(rotate_to_classical(_load_bipartite(args)))
     _write_text(text, args.out)
     return 0
 
@@ -201,8 +201,8 @@ def _branch_steps(label: str, side: CauseSide) -> list[str]:
 
 def cmd_demo(args) -> int:
     rho = qsc_computational(0.4, 0.05)
-    fwd, bwd = _cause_sides(rho)
-    v = _score(fwd, bwd)
+    run = _reduced(rho)
+    (fwd, bwd), v = run.sides, run.verdict
     steps = [
         f"reduced density of A = {_fmt_mat(fwd.reduced.mat)}",
         f"reduced density of B = {_fmt_mat(bwd.reduced.mat)}",

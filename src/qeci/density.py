@@ -48,10 +48,10 @@ class DensityMatrix:
     ``mat`` is exactly Hermitian and read-only. What is derived from it
     (partial traces, conditional blocks) is Hermitian and PSD to rounding and
     is not checked again. Only _wrap constructs one. ``_memo`` holds the
-    eigendecomposition under "eig" and, once causal._reduced has built them,
-    the reduced densities of a bipartite ``mat`` by side ("A" or "B"), each
-    with the verdict of its eigen-gap test; ``mat`` is read-only, so they
-    stay valid.
+    eigendecomposition under "eig" and, once a verdict pass has built them
+    (causal._Pass, the record of every pass), the reduced densities of a
+    bipartite ``mat`` by side ("A" or "B"), each with the verdict of its
+    eigen-gap test; ``mat`` is read-only, so they stay valid.
     """
 
     mat: np.ndarray
@@ -242,13 +242,13 @@ def _joint_dims(rho: DensityMatrix) -> tuple[int, ...]:
     return rho.dims
 
 
-def _cause_first(rho_joint: DensityMatrix, cause: str) -> np.ndarray:
-    """The joint as a tensor r[c, k, c', l]: c, c' on the ``cause`` side, k, l on the other.
+def _cause_first(mat: np.ndarray, dims: tuple[int, ...], cause: str) -> np.ndarray:
+    """A joint ``mat`` as a tensor r[c, k, c', l]: c, c' on the ``cause`` side, k, l on the other.
 
-    ``cause`` "A" is the joint's own index order (see linalg._bipartite);
-    "B" is its transpose r.transpose(1, 0, 3, 2), a view.
+    ``dims`` were checked by _joint_dims. ``cause`` "A" is the joint's own index
+    order (see linalg._bipartite); "B" its transpose r.transpose(1, 0, 3, 2), a view.
     """
-    r = _bipartite(rho_joint.mat, *_joint_dims(rho_joint))
+    r = _bipartite(mat, *dims)
     return r.transpose(1, 0, 3, 2) if cause == "B" else r
 
 
@@ -308,7 +308,7 @@ def instance_conditional(
     cause = {"first": "A", "second": "B"}.get(conditioned_side)
     if cause is None:
         raise ValueError(f"conditioned_side must be 'first' or 'second', got {conditioned_side!r}")
-    r = _cause_first(rho_joint, cause)
+    r = _cause_first(rho_joint.mat, _joint_dims(rho_joint), cause)
     ket = condition_ket.ket[:, None]
     if len(ket) != len(r):
         msg = f"condition ket dimension {len(ket)} != subsystem dimension {len(r)}"

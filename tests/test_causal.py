@@ -500,7 +500,7 @@ def test_small_branches_are_checked_at_their_own_scale(eps, pure_tau):
         # An independent contraction moves a branch of weight eps by ~1e-16 / eps
         # once normalized (up to 3e-5 bits of s_exo_fwd at eps = 1e-11), so the
         # forward coupling is checked from the blocks the verdict conditioned on.
-        fwd = causal._cause_sides(rho, ("A",))[0]
+        fwd = causal._reduced(rho, ("A",)).sides[0]
         got = [verdict.s_cause_fwd, verdict.s_exo_fwd, verdict.s_cause_bwd, verdict.s_exo_bwd]
         ref = [s_cause_fwd, _ref_block_entropy(fwd.blocks, fwd.weights), s_cause_bwd, s_exo_bwd]
         assert np.abs(np.subtract(got, ref)).max() <= 1e-8
@@ -702,17 +702,17 @@ def test_stacked_pair_equals_each_side_alone(monkeypatch):
     for rho in _pair_inputs():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneracyWarning)
-            pair = causal._cause_sides(rho)
+            pair = causal._reduced(rho).sides
             with monkeypatch.context() as patched:
                 shapes = _as_stacks_of_one(patched)
                 stacked = [
-                    causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
+                    causal._reduced(dataclasses.replace(rho, _memo={}), (label,)).sides[0]
                     for label in ("A", "B")
                 ]
             # each side was decomposed and conditioned as a stack of one
             assert [shape[0] for shape in shapes] == [1] * 4
             alone = [
-                causal._cause_sides(dataclasses.replace(rho, _memo={}), (label,))[0]
+                causal._reduced(dataclasses.replace(rho, _memo={}), (label,)).sides[0]
                 for label in ("A", "B")
             ]
         for sides in zip(pair, alone, stacked):
@@ -791,6 +791,23 @@ def test_a_failing_pass_builds_then_warns_then_raises_once():
     assert degenerate == [(_DEGENERATE.format("A"), __file__), (_DEGENERATE.format("B"), __file__)]
     messages = [str(w.message) for w in record if w.category is RuntimeWarning]
     assert messages == ["invalid value encountered in matmul"]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 8)])
+def test_a_verdict_checks_the_bipartite_rule_once(monkeypatch, dims):
+    # the pass checks the joint's dims once and hands them to both sides
+    rho = random_density(np.random.default_rng(41), dims)
+    calls, joint_dims = [], density._joint_dims
+
+    def counting(rho):
+        calls.append(rho.dims)
+        return joint_dims(rho)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qeci" and getattr(module, "_joint_dims", None) is joint_dims:
+            monkeypatch.setattr(module, "_joint_dims", counting)
+    qeci_infer(rho)
+    assert calls == [dims]
 
 
 def test_reused_reduced_density_still_warns_at_the_caller():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qeci import cli
+from qeci import causal, cli
 from qeci.channels import ChannelSpec, qsc_computational
 from qeci.cli import main
 from qeci.fileio import (
@@ -24,7 +24,7 @@ from qeci.fileio import (
 )
 from qeci.causal import DegeneracyWarning, JointDistribution
 from qeci.density import validate_density
-from qeci.linalg import _umath_linalg
+from qeci.linalg import EigenConvergenceError, _umath_linalg
 
 from _helpers import branch_floor_joint, failing_gufunc, small_branch_joint
 
@@ -613,15 +613,14 @@ def test_a_sweep_of_no_steps_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, use",
-    [(["infer"], "inference"), (["map-classical", "--mode", "rotate"], "rotation")],
-    ids=["infer", "rotate"],
+    "argv", [["infer"], ["map-classical", "--mode", "rotate"]], ids=["infer", "rotate"]
 )
-def test_a_density_of_one_subsystem_exits_2(tmp_path, capsys, argv, use):
+def test_a_density_of_one_subsystem_exits_2(tmp_path, capsys, argv):
+    # the library's bipartite rule (density._joint_dims), its message prefixed by the file
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"dims": [4], "matrix": _matrix_payload(np.eye(4) / 4)}), encoding="utf-8")
     err = _exit_2_line(capsys, [*argv, "--input", str(path)])
-    assert err == f"error: {path}: {use} needs exactly two subsystem dims, got (4,)\n"
+    assert err == f"error: {path}: need a bipartite density, got dims (4,)\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
@@ -966,3 +965,40 @@ def test_sweep_output_is_golden(channel, capsys):
         "eigenvalues; the conditioning eigenbasis is not unique\n"
         for p, side in SWEEP_WARNINGS[channel]
     )
+
+
+def test_a_failed_sweep_point_is_an_error_row_then_its_warnings(capsys, monkeypatch):
+    # p = 0.75 of the depolarizing sweep is degenerate on side B; forcing its
+    # conditioning to fail turns that row alone into an error row, and its
+    # failure line comes before its degeneracy line
+    argv = ["sweep", "--channel", "depolarizing", "--q", "0.4",
+            "--p-start", "0.05", "--p-end", "0.95", "--steps", "19",
+            "--gamma1", "0.6", "--lambda1", "0.8",
+            "--gamma2", "0.7071067811865476", "--lambda2", "0.7071067811865476"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    current = {}
+    joint, block_spectra = ChannelSpec.joint, causal._block_spectra
+
+    def tracking(self, p):
+        current["p"] = f"{p:.10g}"
+        return joint(self, p)
+
+    def failing(blocks, weights):
+        if current["p"] == "0.75":
+            raise EigenConvergenceError("forced at p = 0.75")
+        return block_spectra(blocks, weights)
+
+    monkeypatch.setattr(ChannelSpec, "joint", tracking)
+    monkeypatch.setattr(causal, "_block_spectra", failing)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "0.75,nan,nan,nan,error" if row.startswith("0.75,") else row for row in rows
+    ]
+    assert "0.75,nan,nan,nan,error" in captured.out.splitlines()
+    assert captured.err.splitlines() == [
+        "warning: p=0.75 failed: forced at p = 0.75",
+        "warning: p=0.75: reduced density of side B has near-degenerate eigenvalues; "
+        "the conditioning eigenbasis is not unique",
+    ]

@@ -33,7 +33,7 @@ from qeci import (
     star_product,
     validate_density,
 )
-from qeci.causal import _cause_sides
+from qeci.causal import _reduced
 from qeci.density import NotPSD, TraceNotOne, pure_state
 from qeci.linalg import (
     DimensionMismatch,
@@ -372,7 +372,8 @@ _ARRAY_RECORDS = {
     "JointDistribution": lambda: JointDistribution(table=[[0.25, 0.25], [0.25, 0.25]]),
     "DensityMatrix": lambda: validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2)),
     "EigenDecomposition": lambda: hermitian_eig(np.diag([0.25, 0.75])),
-    "CauseSide": lambda: _cause_sides(validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2)))[0],
+    "CauseSide": lambda: _reduced(validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))).sides[0],
+    "_Pass": lambda: _reduced(validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))),
     "PureState": lambda: pure_state([0.6, 0.8]),
 }
 

@@ -308,7 +308,7 @@ def test_instance_conditional_rejects_a_near_zero_branch(side):
         instance_conditional(rho, pure_state([0.0, 1.0]), side)
     assert str(info.value) == "conditioning outcome has probability 1.000e-13 <= 1.0e-12"
     # the kernel only contracts: that branch's weight comes back as it is
-    _, weights = _conditional_blocks(_cause_first(rho, CAUSE[side]), np.eye(2, dtype=complex))
+    _, weights = _conditional_blocks(_cause_first(rho.mat, rho.dims, CAUSE[side]), np.eye(2, dtype=complex))
     assert weights.tolist() == [1.0 - 1e-13, 1e-13]
 
 
@@ -319,7 +319,7 @@ def test_conditional_blocks_match_the_tensordot_route(side):
         rho = random_density(rng, dims)
         cond_dim = dims[0] if side == "first" else dims[1]
         kets = random_unitary(rng, cond_dim)
-        blocks, weights = _conditional_blocks(_cause_first(rho, CAUSE[side]), kets)
+        blocks, weights = _conditional_blocks(_cause_first(rho.mat, rho.dims, CAUSE[side]), kets)
         ref_blocks, ref_weights = reference_conditional_blocks(rho, kets, side)
         assert blocks.shape == ref_blocks.shape
         assert np.abs(blocks - ref_blocks).max() <= 1e-15
@@ -352,7 +352,7 @@ def test_blocks_of_a_validated_joint_need_no_check():
     for rho in _validated_joints(np.random.default_rng(31)):
         assert np.array_equal(rho.mat, rho.mat.conj().T)
         for label in ("A", "B"):
-            side = causal._cause_sides(rho, (label,))[0]
+            side = causal._reduced(rho, (label,)).sides[0]
             skew = side.blocks - side.blocks.conj().swapaxes(1, 2)
             assert np.linalg.norm(skew, axis=(1, 2)).max() <= 1e-15
             conditionals = side.blocks / side.weights[:, None, None]
@@ -364,7 +364,7 @@ def test_block_spectra_skip_only_a_clamp_that_changes_no_bit():
     # _block_spectra clamps at zero only when some eigenvalue is not
     # positive; the rows must equal those of an unconditional clamp, bit for bit
     for rho in _validated_joints(np.random.default_rng(35)):
-        for side in causal._cause_sides(rho):
+        for side in causal._reduced(rho).sides:
             conditionals = side.blocks / side.weights[:, None, None]
             hermitian = 0.5 * (conditionals + conditionals.conj().swapaxes(1, 2))
             values = np.maximum(np.linalg.eigvalsh(hermitian)[:, ::-1], 0.0)

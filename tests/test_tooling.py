@@ -6,9 +6,9 @@ library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
 kernels, the Hermitian part, the construction of a DensityMatrix, the
 PSD rule's NotPSD, the bipartite rule, the stack-or-alone choice of the
-verdict pass, the conditioning floor's ZeroProbabilityCondition, the range
-rule of a tolerance argument and the tolerances are each written at one
-site."""
+verdict pass, its DegeneracyWarning, the conditioning floor's
+ZeroProbabilityCondition, the range rule of a tolerance argument and the
+tolerances are each written at one site."""
 
 import ast
 import contextlib
@@ -167,6 +167,23 @@ def test_stack_or_alone_is_decided_at_one_site():
         return all(isinstance(n, ast.Attribute) and n.attr == "shape" for n in operands)
 
     assert _sites(compares_shapes) == [("causal.py", "_by_side")]
+
+
+def test_a_degeneracy_warns_at_one_site_and_nothing_intercepts_warnings():
+    # every verdict pass hands its record to causal._warned, the one warning
+    # site, at one fixed stacklevel; the package records or filters no warning
+    def warns_degeneracy(node):
+        return (
+            isinstance(node, ast.Call)
+            and _identifier(node.func) == "warn"
+            and any(_identifier(arg) == "DegeneracyWarning" for arg in node.args)
+        )
+
+    assert _sites(warns_degeneracy) == [("causal.py", "_warned")]
+    intercepts = ("catch_warnings", "simplefilter")
+    assert _sites(lambda node: _identifier(node) in intercepts) == []
+    stacklevels = _sites(lambda node: isinstance(node, ast.keyword) and node.arg == "stacklevel")
+    assert stacklevels == [("causal.py", "_warned")]
 
 
 def test_the_conditioning_floor_and_the_tolerance_range_are_each_written_once():
