@@ -126,7 +126,6 @@ class _Pass:
     rho_ab: DensityMatrix
     reduced: dict[str, DensityMatrix]
     degenerate: list[str]
-    tie_tol: float
 
     @property
     def sides(self) -> list[CauseSide]:
@@ -142,12 +141,11 @@ class _Pass:
             ]
         return self.__dict__["sides"]
 
-    @property
-    def verdict(self) -> CausalVerdict:
-        """The verdict of a pass over sides ("A", "B"), forward then backward, per read."""
+    def verdict(self, tie_tol: float = TIE_TOL) -> CausalVerdict:
+        """The verdict of a pass over sides ("A", "B"), forward then backward, per call."""
         fwd, bwd = self.sides
         s_fwd, s_bwd = von_neumann_entropy(fwd.reduced), von_neumann_entropy(bwd.reduced)
-        return _verdict(s_fwd, fwd.rows, s_bwd, bwd.rows, self.tie_tol)
+        return _verdict(s_fwd, fwd.rows, s_bwd, bwd.rows, tie_tol)
 
 
 def _by_side(kernel, *arrays) -> list[tuple]:
@@ -169,7 +167,7 @@ def _decomposed(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig.eigenvalues, eig.eigenvectors
 
 
-def _reduced(rho_ab: DensityMatrix, labels=("A", "B"), tie_tol: float = TIE_TOL) -> _Pass:
+def _reduced(rho_ab: DensityMatrix, labels=("A", "B")) -> _Pass:
     """The reduced stage of a verdict pass over sides ``labels``, each "A" or "B": its record.
 
     Checks the bipartite rule once. Sides not in the joint's memo are decomposed through
@@ -188,7 +186,7 @@ def _reduced(rho_ab: DensityMatrix, labels=("A", "B"), tie_tol: float = TIE_TOL)
             gaps = values[:-1] - values[1:]
             memo[label] = (reduced, bool(gaps.size) and _smallest(gaps) < DEGENERACY_GAP)
     degenerate = [label for label in labels if memo[label][1]]
-    return _Pass(rho_ab, {label: memo[label][0] for label in labels}, degenerate, tie_tol)
+    return _Pass(rho_ab, {label: memo[label][0] for label in labels}, degenerate)
 
 
 def _warned(run: _Pass) -> _Pass:
@@ -235,7 +233,7 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
     stacked or alone by _by_side's rule. ``tie_tol`` is checked first.
     """
     _require_tolerance(tie_tol, "tie_tol")
-    return _warned(_reduced(rho_ab, tie_tol=tie_tol)).verdict
+    return _warned(_reduced(rho_ab)).verdict(tie_tol)
 
 
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .causal import JointDistribution, _reduced, _warned
+from .causal import JointDistribution, _Pass, _reduced, _warned
 from .density import DensityMatrix, _wrap
 from .linalg import _hermitian_part, dagger, kron
 
@@ -28,13 +28,17 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
     Conjugates by the tensor product of the reduced densities' eigenvector
     matrices and takes the real diagonal, clamped to nonnegative and
     renormalized, as the table that JointDistribution checks. Rows and
-    columns follow descending marginal eigenvalues. Both reduced densities
-    come from the record of a verdict pass (causal._Pass), as in qeci_infer,
-    and each degenerate one warns; after qeci_infer on the same joint they
-    come from the joint's memo, so nothing is decomposed again.
+    columns follow descending marginal eigenvalues. The reduced densities come
+    from a verdict pass (causal._Pass) whose degenerate sides warn first, as in
+    qeci_infer, and after qeci_infer on the same joint from the joint's memo.
     """
-    reduced_a, reduced_b = _warned(_reduced(rho_ab)).reduced.values()
+    return _rotated(_warned(_reduced(rho_ab)))
+
+
+def _rotated(run: _Pass) -> JointDistribution:
+    """The table of rotate_to_classical, read off ``run``, a pass over sides ("A", "B")."""
+    reduced_a, reduced_b = run.reduced.values()
     u = kron(reduced_a.eig.eigenvectors, reduced_b.eig.eigenvectors)
-    rotated = dagger(u) @ rho_ab.mat @ u
+    rotated = dagger(u) @ run.rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)
-    return JointDistribution(table=diag.reshape(rho_ab.dims) / np.add.reduce(diag))
+    return JointDistribution(table=diag.reshape(run.rho_ab.dims) / np.add.reduce(diag))

@@ -10,11 +10,11 @@ import sys
 
 import numpy as np
 
-from .causal import _DEGENERATE, CauseSide, _reduced, qeci_infer
+from .causal import _DEGENERATE, CauseSide, _Pass, _reduced
 from .channels import ChannelSpec, _check_prob, qsc_computational
-from .classicalmap import diag_embed, rotate_to_classical
+from .classicalmap import _rotated, diag_embed
 from .coupling import greedy_min_entropy_coupling
-from .density import DEFAULT_TOL, DensityMatrix, _joint_dims
+from .density import DEFAULT_TOL, DensityMatrix
 from .fileio import (
     FileFormatError,
     dump_density,
@@ -70,17 +70,20 @@ def _write_text(text: str, out_path: str | None) -> None:
         raise FileFormatError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _load_bipartite(args) -> DensityMatrix:
-    rho = load_density_file(args.input, _resolve_tol(args))
+def _passed(rho: DensityMatrix, where: str) -> _Pass:
+    """The CLI's one verdict pass: each degenerate side is one ``warning: WHERE: ...`` line,
+    before any conditioning; a joint that is not bipartite is a FileFormatError (exit 2)."""
     try:
-        _joint_dims(rho)
+        run = _reduced(rho)
     except DimensionMismatch as exc:
-        raise FileFormatError(f"{args.input}: {exc}") from exc
-    return rho
+        raise FileFormatError(f"{where}: {exc}") from exc
+    for label in run.degenerate:
+        print(f"warning: {where}: {_DEGENERATE.format(label)}", file=sys.stderr)
+    return run
 
 
 def cmd_infer(args) -> int:
-    verdict = qeci_infer(_load_bipartite(args))
+    verdict = _passed(load_density_file(args.input, _resolve_tol(args)), args.input).verdict()
     if args.json:
         # CausalVerdict's fields, in order, with the direction's value
         print(json.dumps({**vars(verdict), "direction": verdict.direction.value}))
@@ -116,18 +119,12 @@ def cmd_sweep(args) -> int:
     _check_out(args.out)
     lines = ["p,s_forward,s_backward,delta,direction"]
     for p in sorted(grid):
-        degenerate = ()
         try:
-            run = _reduced(spec.joint(p))
-            degenerate = run.degenerate
-            verdict = run.verdict
+            verdict = _passed(spec.joint(p), f"p={p:.10g}").verdict()
         except (ValueError, EigenConvergenceError) as exc:
             print(f"warning: p={p:.10g} failed: {exc}", file=sys.stderr)
             lines.append(f"{p:.10g},nan,nan,nan,error")
             continue
-        finally:
-            for label in degenerate:
-                print(f"warning: p={p:.10g}: {_DEGENERATE.format(label)}", file=sys.stderr)
         direction = verdict.direction.arrow
         if p in (0.0, 1.0):
             # direction is formally undecidable at the symmetric endpoints
@@ -155,7 +152,8 @@ def cmd_map_classical(args) -> int:
     if args.mode == "embed":
         text = dump_density(diag_embed(load_table_file(args.input))) + "\n"
     else:
-        text = table_to_csv(rotate_to_classical(_load_bipartite(args)))
+        rho = load_density_file(args.input, _resolve_tol(args))
+        text = table_to_csv(_rotated(_passed(rho, args.input)))
     _write_text(text, args.out)
     return 0
 
@@ -201,8 +199,8 @@ def _branch_steps(label: str, side: CauseSide) -> list[str]:
 
 def cmd_demo(args) -> int:
     rho = qsc_computational(0.4, 0.05)
-    run = _reduced(rho)
-    (fwd, bwd), v = run.sides, run.verdict
+    run = _passed(rho, "demo")
+    (fwd, bwd), v = run.sides, run.verdict()
     steps = [
         f"reduced density of A = {_fmt_mat(fwd.reduced.mat)}",
         f"reduced density of B = {_fmt_mat(bwd.reduced.mat)}",

@@ -104,16 +104,16 @@ def validate_density(
 ) -> DensityMatrix:
     """Check the density-matrix contract and wrap the matrix.
 
-    The one check of outside input: the square, finite and Hermitian check
-    of hermitian_eig (at ``tol``) plus the dims (integers >= 1 that multiply to
-    its dimension), trace and PSD checks; raises DimensionMismatch,
-    NotHermitian, TraceNotOne, or NotPSD naming the measured residual, and
-    ValueError for a ``tol`` that is not a finite number >= 0. The matrix
-    kept is the exactly Hermitian part of the input, which is the input
-    itself when that is exactly Hermitian. A positive definite one is
-    certified by a Cholesky factorization, any other checked on its spectrum
-    (see _wrap), where eigenvalues in [-tol, 0) are rounding noise: clamped
-    to zero, the matrix rebuilt, the trace renormalized to one.
+    The one check of outside input: the square, finite and Hermitian check of hermitian_eig
+    (at ``tol``) plus the dims (integers >= 1 that multiply to its dimension), trace and PSD
+    checks; raises DimensionMismatch, NotHermitian, TraceNotOne, or NotPSD naming the
+    measured residual, and ValueError for a ``tol`` that is not a finite number >= 0. The
+    matrix kept is the exactly Hermitian part of the input, halved before the sum so it
+    cannot overflow: an exactly Hermitian input is kept as it is, except that an odd
+    subnormal entry rounds to an even one (5e-324 on the diagonal is kept as 0). A positive
+    definite matrix is certified by a Cholesky factorization, any other checked on its
+    spectrum (see _wrap), where eigenvalues in [-tol, 0) are rounding noise: clamped to
+    zero, the matrix rebuilt, the trace renormalized to one.
     """
     _require_tolerance(tol, "tol")
     m = np.asarray(mat, dtype=complex)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeci import causal, cli
-from qeci.channels import ChannelSpec, qsc_computational
+from qeci.channels import ChannelSpec, bitflip_entangled, qsc_computational
 from qeci.cli import main
 from qeci.fileio import (
     FileFormatError,
@@ -167,13 +168,20 @@ def test_infer_accepts_a_joint_with_a_small_branch(tmp_path, capsys):
 
 
 def test_infer_accepts_a_joint_with_a_branch_just_above_the_floor(tmp_path, capsys):
-    # valid input once exited 3: its branch's eigenvalue is above PROB_FLOOR, its block trace not
+    # valid input once exited 3: its branch's eigenvalue is above PROB_FLOOR, its block trace
+    # not; side B is I/2, reported as one stderr line and never as a Python warning
     path = tmp_path / "branch_floor.json"
     path.write_text(dump_density(validate_density(branch_floor_joint(), (2, 2))), encoding="utf-8")
-    with pytest.warns(DegeneracyWarning):  # side B is I/2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["infer", "--input", str(path), "--json"]) == 0
+    assert caught == []
     out, err = capsys.readouterr()
-    assert json.loads(out)["direction"] == "Tie" and err == ""
+    assert json.loads(out)["direction"] == "Tie"
+    assert err == (
+        f"warning: {path}: reduced density of side B has near-degenerate eigenvalues; "
+        "the conditioning eigenbasis is not unique\n"
+    )
 
 
 def test_infer_tol_reaches_the_conditionals(tmp_path, capsys):
@@ -636,6 +644,36 @@ def test_a_missing_input_file_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {path}: ")
 
 
+def _cli_child(flags, argv):
+    """``python FLAGS -m qeci.cli ARGV`` in a fresh process with no PYTHONWARNINGS."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, *flags, "-m", "qeci.cli", *argv]
+    return subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["infer"], ["infer", "--json"], ["map-classical", "--mode", "rotate"]],
+    ids=["infer", "infer-json", "rotate"],
+)
+def test_a_degenerate_input_exits_0_when_warnings_are_errors(tmp_path, argv):
+    # both sides of the bitflip p = 0.3 joint are degenerate; each is one stderr line under
+    # any warning filter, so -W error turns no valid input into a traceback
+    path = tmp_path / "bitflip.json"
+    path.write_text(dump_density(bitflip_entangled(0.3)), encoding="utf-8")
+    argv = [*argv, "--input", str(path)]
+    strict, default = _cli_child(["-W", "error"], argv), _cli_child([], argv)
+    assert strict.returncode == default.returncode == 0, strict.stderr
+    assert strict.stdout == default.stdout != ""
+    assert strict.stderr == default.stderr == "".join(
+        f"warning: {path}: reduced density of side {side} has near-degenerate eigenvalues; "
+        "the conditioning eigenbasis is not unique\n"
+        for side in "AB"
+    )
+
+
 def test_largest_float_as_an_integer_is_a_number(tmp_path, capsys):
     # the largest integer that float() takes passes the parse and fails as a table
     path = tmp_path / "table.json"
@@ -967,10 +1005,10 @@ def test_sweep_output_is_golden(channel, capsys):
     )
 
 
-def test_a_failed_sweep_point_is_an_error_row_then_its_warnings(capsys, monkeypatch):
+def test_a_failed_sweep_point_is_its_warnings_then_an_error_row(capsys, monkeypatch):
     # p = 0.75 of the depolarizing sweep is degenerate on side B; forcing its
     # conditioning to fail turns that row alone into an error row, and its
-    # failure line comes before its degeneracy line
+    # degeneracy line, printed when the pass is built, comes before its failure line
     argv = ["sweep", "--channel", "depolarizing", "--q", "0.4",
             "--p-start", "0.05", "--p-end", "0.95", "--steps", "19",
             "--gamma1", "0.6", "--lambda1", "0.8",
@@ -998,7 +1036,7 @@ def test_a_failed_sweep_point_is_an_error_row_then_its_warnings(capsys, monkeypa
     ]
     assert "0.75,nan,nan,nan,error" in captured.out.splitlines()
     assert captured.err.splitlines() == [
-        "warning: p=0.75 failed: forced at p = 0.75",
         "warning: p=0.75: reduced density of side B has near-degenerate eigenvalues; "
         "the conditioning eigenbasis is not unique",
+        "warning: p=0.75 failed: forced at p = 0.75",
     ]

@@ -6,9 +6,9 @@ library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
 kernels, the Hermitian part, the construction of a DensityMatrix, the
 PSD rule's NotPSD, the bipartite rule, the stack-or-alone choice of the
-verdict pass, its DegeneracyWarning, the conditioning floor's
-ZeroProbabilityCondition, the range rule of a tolerance argument and the
-tolerances are each written at one site."""
+verdict pass, its DegeneracyWarning, the CLI's verdict pass, the conditioning
+floor's ZeroProbabilityCondition, the range rule of a tolerance argument and
+the tolerances are each written at one site."""
 
 import ast
 import contextlib
@@ -184,6 +184,20 @@ def test_a_degeneracy_warns_at_one_site_and_nothing_intercepts_warnings():
     assert _sites(lambda node: _identifier(node) in intercepts) == []
     stacklevels = _sites(lambda node: isinstance(node, ast.keyword) and node.arg == "stacklevel")
     assert stacklevels == [("causal.py", "_warned")]
+
+
+def test_every_cli_command_reads_one_verdict_pass():
+    # the CLI builds each pass in cli._passed, which prints the degenerate sides itself,
+    # and names no public verdict function, so no command reaches causal._warned
+    def in_cli(predicate):
+        return [function for module, function in _sites(predicate) if module == "cli.py"]
+
+    def calls_reduced(node):
+        return isinstance(node, ast.Call) and _identifier(node.func) == "_reduced"
+
+    public = ("qeci_infer", "conditional_spectra", "rotate_to_classical")
+    assert in_cli(calls_reduced) == ["_passed"]
+    assert in_cli(lambda node: _identifier(node) in public) == []
 
 
 def test_the_conditioning_floor_and_the_tolerance_range_are_each_written_once():
