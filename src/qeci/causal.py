@@ -22,7 +22,6 @@ from .density import (
     _conditional_blocks,
     _joint_dims,
     _wrap,
-    von_neumann_entropy,
 )
 from .linalg import (
     DEGENERACY_GAP,
@@ -142,10 +141,9 @@ class _Pass:
         return self.__dict__["sides"]
 
     def verdict(self, tie_tol: float = TIE_TOL) -> CausalVerdict:
-        """The verdict of a pass over sides ("A", "B"), forward then backward, per call."""
-        fwd, bwd = self.sides
-        s_fwd, s_bwd = von_neumann_entropy(fwd.reduced), von_neumann_entropy(bwd.reduced)
-        return _verdict(s_fwd, fwd.rows, s_bwd, bwd.rows, tie_tol)
+        """The verdict of a pass over sides ("A", "B"), forward then backward, per call:
+        each side's reduced spectrum and conditional rows, scored by _verdict."""
+        return _verdict([(side.reduced.eig.eigenvalues, side.rows) for side in self.sides], tie_tol)
 
 
 def _by_side(kernel, *arrays) -> list[tuple]:
@@ -239,36 +237,31 @@ def qeci_infer(rho_ab: DensityMatrix, tie_tol: float = TIE_TOL) -> CausalVerdict
 def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalVerdict:
     """Classical counterpart of qeci_infer, scoring a joint probability table.
 
-    The table was checked when ``joint`` was built, so it and the marginals
-    and conditionals derived from it are trusted. Conditional rows whose
-    cause state has marginal probability at the floor are skipped; their
-    conditionals are undefined. ``tie_tol`` is checked before any work.
+    The table was checked when ``joint`` was built, so it and the directions
+    _table_side derives from it, the rows as cause then the columns, are
+    trusted. ``tie_tol`` is checked before any work.
     """
     _require_tolerance(tie_tol, "tie_tol")
     table = joint.table
     p_row = np.add.reduce(table, axis=1)
     p_col = np.add.reduce(table, axis=0)
-    fwd, bwd = p_row > PROB_FLOOR, p_col > PROB_FLOOR
-    return _verdict(
-        _entropy_bits(p_row),
-        MarginalSet._trusted(table[fwd] / p_row[fwd, None]),
-        _entropy_bits(p_col),
-        MarginalSet._trusted(table[:, bwd].T / p_col[bwd, None]),
-        tie_tol,
-    )
+    return _verdict([_table_side(table, p_row), _table_side(table.T, p_col)], tie_tol)
 
 
-def _verdict(
-    s_cause_fwd: float,
-    rows_fwd: MarginalSet,
-    s_cause_bwd: float,
-    rows_bwd: MarginalSet,
-    tie_tol: float,
-) -> CausalVerdict:
-    """Both scores, cause entropy plus coupled effect rows: the one coupling site.
-    ``tie_tol`` was checked where it entered (qeci_infer, classical_eci)."""
-    s_exo_fwd, s_exo_bwd = [
-        greedy_min_entropy_coupling(rows).entropy_bits for rows in (rows_fwd, rows_bwd)
+def _table_side(table: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, MarginalSet]:
+    """A table's direction, its rows indexing the cause of marginal ``p``: ``p`` and the rows
+    of states above PROB_FLOOR over their probability (a state at the floor has no
+    conditional); the table's counterpart of _cause_first."""
+    kept = p > PROB_FLOOR
+    return p, MarginalSet._trusted(table[kept] / p[kept, None])
+
+
+def _verdict(sides: list[tuple[np.ndarray, MarginalSet]], tie_tol: float) -> CausalVerdict:
+    """Both scores, forward then backward, each from a (cause distribution, conditional rows)
+    pair of ``sides``: the distribution's entropy plus the rows' coupled entropy, the one
+    scoring site. ``tie_tol`` was checked where it entered (qeci_infer, classical_eci)."""
+    (s_cause_fwd, s_exo_fwd), (s_cause_bwd, s_exo_bwd) = [
+        (_entropy_bits(p), greedy_min_entropy_coupling(rows).entropy_bits) for p, rows in sides
     ]
     s_forward = s_cause_fwd + s_exo_fwd
     s_backward = s_cause_bwd + s_exo_bwd

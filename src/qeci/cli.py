@@ -96,11 +96,14 @@ def cmd_infer(args) -> int:
 
 
 def _p_grid(start: float, end: float, steps: int) -> list[float]:
+    """``steps`` uniform points from ``start`` to ``end``, both ends exactly as given."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps == 1:
+        if start != end:
+            raise ValueError(f"one step needs --p-start == --p-end, got {start} and {end}")
         return [start]
-    return [start + k * (end - start) / (steps - 1) for k in range(steps)]
+    return [start + k * (end - start) / (steps - 1) for k in range(steps - 1)] + [end]
 
 
 def cmd_sweep(args) -> int:

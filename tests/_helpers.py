@@ -1,8 +1,9 @@
-"""Shared random generators and reference implementations for the test suite."""
+"""Shared random generators, reference implementations and a rebinding helper for the test suite."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -249,3 +250,12 @@ def failing_gufunc(gufunc, fails=lambda a: True):
         return np.full_like(out, np.nan)
 
     return failing
+
+
+def rebind(monkeypatch, original, replacement) -> None:
+    """Bind ``replacement`` for the test's duration wherever a qeci module binds
+    ``original`` under its own name, so every caller in the package reaches it."""
+    attr = original.__name__
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qeci" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, replacement)

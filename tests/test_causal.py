@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import inspect
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -49,6 +48,7 @@ from _helpers import (
     random_nondegenerate_density,
     random_nondegenerate_table,
     random_unitary,
+    rebind,
     skewed_density,
     small_branch_joint,
 )
@@ -570,9 +570,7 @@ def _record_eig_inputs(monkeypatch) -> list:
         seen.extend((m.shape, m.tobytes()) for m in a.reshape(-1, *a.shape[-2:]))
         return hermitian_eig(a, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
-            monkeypatch.setattr(module, "hermitian_eig", counting)
+    rebind(monkeypatch, hermitian_eig, counting)
     return seen
 
 
@@ -584,10 +582,7 @@ def _count_validations(monkeypatch) -> list:
         calls.append(dims)
         return validate_density(mat, dims, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "validate_density", None)
-        if name.split(".")[0] == "qeci" and bound is validate_density:
-            monkeypatch.setattr(module, "validate_density", counting)
+    rebind(monkeypatch, validate_density, counting)
     return calls
 
 
@@ -739,9 +734,7 @@ def test_a_lone_side_goes_to_the_kernels_as_a_matrix(monkeypatch):
 
         return call
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
-            monkeypatch.setattr(module, "hermitian_eig", recording(hermitian_eig))
+    rebind(monkeypatch, hermitian_eig, recording(hermitian_eig))
     monkeypatch.setattr(causal, "_block_spectra", recording(density._block_spectra))
     rng = np.random.default_rng(11)
     qeci_infer(random_density(rng, (4, 4)))
@@ -803,9 +796,7 @@ def test_a_verdict_checks_the_bipartite_rule_once(monkeypatch, dims):
         calls.append(rho.dims)
         return joint_dims(rho)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qeci" and getattr(module, "_joint_dims", None) is joint_dims:
-            monkeypatch.setattr(module, "_joint_dims", counting)
+    rebind(monkeypatch, joint_dims, counting)
     qeci_infer(rho)
     assert calls == [dims]
 

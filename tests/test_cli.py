@@ -308,6 +308,41 @@ def test_sweep_writes_ordered_csv_with_endpoint_flags(tmp_path):
         assert not line.endswith("*")
 
 
+def test_sweep_grid_ends_exactly_on_both_ends():
+    # start + (steps-1) * (end-start) / (steps-1) can land an ulp off --p-end,
+    # below 0 or above 1 among them; the grid ends with --p-end itself
+    for start in [k / 100 for k in range(101)]:
+        for end in (0.0, 1.0):
+            for steps in range(2, 60):
+                grid = cli._p_grid(start, end, steps)
+                assert grid[0] == start and grid[-1] == end, (start, end, steps)
+                assert all(0.0 <= p <= 1.0 for p in grid), (start, end, steps)
+
+
+@pytest.mark.parametrize(
+    ("start", "end", "steps", "endpoint"),
+    [("0.03", "0", "10", "0,"), ("0.08", "1", "19", "1,")],
+)
+def test_sweep_endpoint_row_is_the_flagged_end(capsys, start, end, steps, endpoint):
+    argv = ["sweep", "--channel", "qsc", "--q", "0.4", "--p-start", start, "--p-end", end]
+    assert main([*argv, "--steps", steps]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.split()[1:]
+    assert len(rows) == int(steps)
+    assert not any(row.endswith("error") for row in rows)
+    ends = [row for row in rows if row.startswith(endpoint)]
+    assert len(ends) == 1 and ends[0].endswith("*")
+
+
+def test_sweep_one_step_between_two_ends_exits_2_before_any_row(capsys):
+    argv = ["sweep", "--channel", "qsc", "--q", "0.4", "--p-start", "0.1", "--p-end", "0.9"]
+    assert main([*argv, "--steps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sweep_csv_is_byte_stable(tmp_path):
     args = [
         "sweep", "--channel", "depolarizing", "--q", "0.4",

@@ -13,7 +13,6 @@ lets a raw numpy RuntimeWarning through.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -45,7 +44,7 @@ from qeci.linalg import (
     require_finite,
 )
 
-from _helpers import random_density
+from _helpers import random_density, rebind
 
 
 def _half(**entries) -> np.ndarray:
@@ -238,10 +237,7 @@ def test_validate_density_checks_finiteness_and_hermiticity_once(monkeypatch):
         calls["norm"] += 1
         return norm(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        bound = getattr(module, "require_finite", None)
-        if name.split(".")[0] == "qeci" and bound is require_finite:
-            monkeypatch.setattr(module, "require_finite", counting_finite)
+    rebind(monkeypatch, require_finite, counting_finite)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     validate_density(mat, (2, 2))
     assert calls == {"require_finite": 1, "norm": 1}

@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 import warnings
 
 import numpy as np
@@ -41,6 +40,7 @@ from _helpers import (
     random_density,
     random_hermitian,
     random_unitary,
+    rebind,
     reference_conditional_blocks,
     reference_validate_density,
     skewed_density,
@@ -441,9 +441,7 @@ def test_matrices_decomposed_at_an_infinite_tolerance_are_finite_and_hermitian(m
         certificate_inputs.append(np.array(h))
         return positive_definite(h, trace)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qeci" and getattr(module, "hermitian_eig", None) is hermitian_eig:
-            monkeypatch.setattr(module, "hermitian_eig", recording)
+    rebind(monkeypatch, hermitian_eig, recording)
     monkeypatch.setattr(density_module, "_lapack_eigh", recording_lapack)
     monkeypatch.setattr(density_module, "_positive_definite", recording_certificate)
     rng = np.random.default_rng(34)

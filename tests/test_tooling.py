@@ -6,9 +6,9 @@ library example must run as written; the package imports nothing beyond
 numpy and the standard library, and every name it exports resolves. LAPACK's
 kernels, the Hermitian part, the construction of a DensityMatrix, the
 PSD rule's NotPSD, the bipartite rule, the stack-or-alone choice of the
-verdict pass, its DegeneracyWarning, the CLI's verdict pass, the conditioning
-floor's ZeroProbabilityCondition, the range rule of a tolerance argument and
-the tolerances are each written at one site."""
+verdict pass, its DegeneracyWarning, the CLI's verdict pass, the terms of a
+verdict's scores, the conditioning floor's ZeroProbabilityCondition, the range
+rule of a tolerance argument and the tolerances are each written at one site."""
 
 import ast
 import contextlib
@@ -198,6 +198,21 @@ def test_every_cli_command_reads_one_verdict_pass():
     public = ("qeci_infer", "conditional_spectra", "rotate_to_classical")
     assert in_cli(calls_reduced) == ["_passed"]
     assert in_cli(lambda node: _identifier(node) in public) == []
+
+
+def test_both_terms_of_every_score_are_computed_in_causal_verdict():
+    # every direction, of a density or of a table, hands causal._verdict its cause
+    # distribution and conditional rows; the cause entropy and the coupled entropy
+    # are named nowhere else in causal.py but its imports
+    def in_causal(predicate):
+        return [function for module, function in _sites(predicate) if module == "causal.py"]
+
+    def names_a_term(node):  # an imported alias is no use of the name
+        terms = ("_entropy_bits", "greedy_min_entropy_coupling")
+        return isinstance(node, (ast.Name, ast.Attribute)) and _identifier(node) in terms
+
+    assert in_causal(names_a_term) == ["_verdict", "_verdict"]
+    assert in_causal(lambda node: _identifier(node) == "von_neumann_entropy") == []
 
 
 def test_the_conditioning_floor_and_the_tolerance_range_are_each_written_once():
