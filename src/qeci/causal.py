@@ -75,6 +75,15 @@ class JointDistribution:
     def from_table(cls, table) -> "JointDistribution":
         return cls(table=table)
 
+    @classmethod
+    def _trusted(cls, table: np.ndarray) -> "JointDistribution":
+        """A 2-D table the library built as a probability table, kept unchecked and
+        made read-only; the counterpart of MarginalSet._trusted."""
+        table.setflags(write=False)
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "table", table)
+        return joint
+
 
 @dataclass(frozen=True)
 class CausalVerdict:
@@ -251,7 +260,10 @@ def classical_eci(joint: JointDistribution, tie_tol: float = TIE_TOL) -> CausalV
 def _table_side(table: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, MarginalSet]:
     """A table's direction, its rows indexing the cause of marginal ``p``: ``p`` and the rows
     of states above PROB_FLOOR over their probability (a state at the floor has no
-    conditional); the table's counterpart of _cause_first."""
+    conditional); the table's counterpart of _cause_first. When every state clears the
+    floor, the usual case, the whole table is divided, with no mask."""
+    if _smallest(p) > PROB_FLOOR:
+        return p, MarginalSet._trusted(table / p[:, None])
     kept = p > PROB_FLOOR
     return p, MarginalSet._trusted(table[kept] / p[kept, None])
 

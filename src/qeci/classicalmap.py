@@ -27,7 +27,7 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
 
     Conjugates by the tensor product of the reduced densities' eigenvector
     matrices and takes the real diagonal, clamped to nonnegative and
-    renormalized, as the table that JointDistribution checks. Rows and
+    renormalized, as the table, which is kept unchecked (see _rotated). Rows and
     columns follow descending marginal eigenvalues. The reduced densities come
     from a verdict pass (causal._Pass) whose degenerate sides warn first, as in
     qeci_infer, and after qeci_infer on the same joint from the joint's memo.
@@ -36,9 +36,13 @@ def rotate_to_classical(rho_ab: DensityMatrix) -> JointDistribution:
 
 
 def _rotated(run: _Pass) -> JointDistribution:
-    """The table of rotate_to_classical, read off ``run``, a pass over sides ("A", "B")."""
+    """The table of rotate_to_classical, read off ``run``, a pass over sides ("A", "B").
+
+    The rotated diagonal of a validated joint is finite and sums to one within rounding;
+    clamped at zero and divided by its own total, it is a probability table by
+    construction, so it is kept unchecked (JointDistribution._trusted)."""
     reduced_a, reduced_b = run.reduced.values()
     u = kron(reduced_a.eig.eigenvectors, reduced_b.eig.eigenvectors)
     rotated = dagger(u) @ run.rho_ab.mat @ u
     diag = np.maximum(rotated.diagonal().real, 0.0)
-    return JointDistribution(table=diag.reshape(run.rho_ab.dims) / np.add.reduce(diag))
+    return JointDistribution._trusted(diag.reshape(run.rho_ab.dims) / np.add.reduce(diag))

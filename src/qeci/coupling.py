@@ -103,13 +103,22 @@ class CouplingResult:
 
     Row i of ``coords`` (ints, one column per marginal row) and ``masses[i]``
     (normalized) are the i-th placement, in the order the rounds placed them.
-    The entropy and masses are computed when the result is built; ``coords``
-    is replayed from the kept read-only rows on first read and cached.
+    The entropy is computed when the result is built; ``masses`` is built from
+    the kept raw masses and their total, and ``coords`` replayed from the kept
+    read-only rows, each on first read and cached.
     """
 
     entropy_bits: float
-    masses: np.ndarray
+    _raw: list[float] = field(repr=False)
+    _total: float = field(repr=False)
     _rows: np.ndarray = field(repr=False)
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """The placements' masses, each raw mass over the left-to-right total."""
+        masses = np.array(self._raw) / self._total
+        masses.setflags(write=False)
+        return masses
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -126,12 +135,13 @@ class CouplingResult:
         return tuple(map(Placement, map(tuple, self.coords.tolist()), self.masses.tolist()))
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    """Entropy in bits of probabilities or eigenvalues ``p``, the one entropy: entries
-    at most PROB_FLOOR count as zero; the terms are totalled left to right in Python
-    floats, not by sum(), which compensates its rounding on Python >= 3.12."""
+def _entropy_bits(p: np.ndarray | list[float]) -> float:
+    """Entropy in bits of probabilities or eigenvalues ``p``, an array or a list of
+    floats, the one entropy: entries at most PROB_FLOOR count as zero; the terms are
+    totalled left to right in Python floats, not by sum(), which compensates its
+    rounding on Python >= 3.12."""
     s = 0.0
-    for v in p.tolist():
+    for v in p if isinstance(p, list) else p.tolist():
         if v > PROB_FLOOR:
             s -= v * math.log2(v)
     return max(0.0, s)  # entries a rounding above one leave s just below zero
@@ -215,11 +225,14 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
     per round. A round of either loop reads and lowers only each row's
     largest value, so both place the same masses bit for bit; they differ
     only in which of equal maxima they take, which moves cells, not masses.
-    The result keeps ``marginals.rows`` and replays the numpy rounds for its
-    ``coords`` (lowest index on ties) only when they are first read, so a
-    caller that reads only the entropy pays for no placements. The rows are
-    not checked again: a MarginalSet checks them when built, and the library
-    builds its own sets only from probability rows.
+    The entropy is taken from the masses as Python floats, each over the
+    total, the values of ``masses`` bit for bit. The result keeps the raw
+    masses, their total and ``marginals.rows``, and builds its ``masses``
+    array and replays the numpy rounds for its ``coords`` (lowest index on
+    ties) only when they are first read, so a caller that reads only the
+    entropy pays for neither. The rows are not checked again: a MarginalSet
+    checks them when built, and the library builds its own sets only from
+    probability rows.
     """
     rows = marginals.rows
     # argmax returns a nan first, so a set holding a nan or inf goes to numpy
@@ -229,6 +242,5 @@ def greedy_min_entropy_coupling(marginals: MarginalSet) -> CouplingResult:
         masses, total = _greedy_rounds(rows)
     if not 0.0 < total < math.inf:  # no round placed mass, or the masses overflowed
         raise MarginalError("no probability mass to couple")
-    masses = np.array(masses) / total
-    masses.setflags(write=False)
-    return CouplingResult(entropy_bits=_entropy_bits(masses), masses=masses, _rows=marginals.rows)
+    entropy = _entropy_bits([m / total for m in masses])
+    return CouplingResult(entropy_bits=entropy, _raw=masses, _total=total, _rows=rows)

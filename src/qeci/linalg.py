@@ -3,7 +3,8 @@
 Products, partial traces and subsystem swaps are numpy index operations; the
 Hermitian eigendecomposition and the Cholesky certificate call the LAPACK
 gufuncs behind numpy.linalg's own functions directly, with input checks and
-a fixed output order and gauge on top.
+a fixed output order and gauge on top. On a numpy whose private module lacks
+a gufunc, they call the public wrapper, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+try:  # private: read through getattr at each call, so a missing gufunc falls back
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
 
 # The package's tolerances, each set here alone and read by name.
 DEFAULT_TOL = 1e-9  # outside input is checked within it
@@ -116,15 +121,22 @@ def _lapack_eigh(a: np.ndarray, vectors: bool = True):
     the wrappers raise LinAlgError, and a nan eigenvalue (also from some
     |a_ij| that overflows) raises EigenConvergenceError. Without ``vectors``,
     ``a`` must be finite: eigvalsh of [[nan, 0], [0, 1]] is [0, -0], unseen.
+    On a numpy without the gufunc, the wrapper is called, and its LinAlgError
+    raises the same EigenConvergenceError.
     """
-    with np.errstate(all="ignore"):  # a failure sets the invalid flag
-        if vectors:
-            out = _umath_linalg.eigh_lo(a, signature="D->dD")
-        else:
-            out = _umath_linalg.eigvalsh_lo(a, signature="D->d")
-    values = out[0] if vectors else out
-    if values.size and math.isnan(_smallest(values)):
-        name = "eigh" if vectors else "eigvalsh"
+    name = "eigh" if vectors else "eigvalsh"
+    kernel = getattr(_umath_linalg, "eigh_lo" if vectors else "eigvalsh_lo", None)
+    try:
+        with np.errstate(all="ignore"):  # a failure sets the invalid flag
+            if kernel is None:
+                out = np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+            else:
+                out = kernel(a, signature="D->dD" if vectors else "D->d")
+        values = out[0] if vectors else out
+        failed = values.size and math.isnan(_smallest(values))
+    except np.linalg.LinAlgError:  # the wrapper's reading of the gufunc's nan
+        failed = True
+    if failed:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {name} returned nan")
     return out
 
@@ -137,13 +149,21 @@ def _positive_definite(h: np.ndarray, trace: complex) -> bool:
     ||E||_2 <= (n + 2) eps tr h (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 10), so lambda_min(h) > 3 n^2 eps ||h||_2 for n >= 2, above
     eigvalsh's backward error: eigvalsh reads a positive least eigenvalue too
-    (and a 1 x 1 ``h`` exactly). numpy.linalg.cholesky's gufunc gives nan on failure.
+    (and a 1 x 1 ``h`` exactly). numpy.linalg.cholesky's gufunc gives nan on failure,
+    and the wrapper, called on a numpy without the gufunc, raises LinAlgError.
     """
     n = h.shape[-1]
     shifted = h.copy()
     shifted.reshape(-1)[:: n + 1] -= 4 * n * n * math.ulp(1.0) * abs(trace)  # the diagonal
-    with np.errstate(all="ignore"):  # a failure sets the invalid flag
-        factor = _umath_linalg.cholesky_lo(shifted, signature="D->D")
+    kernel = getattr(_umath_linalg, "cholesky_lo", None)
+    try:
+        with np.errstate(all="ignore"):  # a failure sets the invalid flag
+            if kernel is None:
+                factor = np.linalg.cholesky(shifted)
+            else:
+                factor = kernel(shifted, signature="D->D")
+    except np.linalg.LinAlgError:  # not certified
+        return False
     return factor.size > 0 and factor.item(-1).real > 0.0  # a nan pivot leaves the last nan
 
 
@@ -196,6 +216,7 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = DEFAULT_TOL) -> EigenDecompos
     else:
         a = _square(a, stacked=True)
     values, vectors = _lapack_eigh(a)
+    vectors = vectors[..., ::-1]  # descending; the product below comes out C-ordered
     if vectors.size:
         n = vectors.shape[-1]
         columns = vectors.swapaxes(-1, -2).reshape(-1, n)  # one row per eigenvector
@@ -204,7 +225,7 @@ def hermitian_eig(a: np.ndarray, herm_tol: float = DEFAULT_TOL) -> EigenDecompos
         vectors = vectors * (pivots.conj() / np.abs(pivots)).reshape(*vectors.shape[:-2], 1, n)
     return EigenDecomposition(
         eigenvalues=values[..., ::-1].copy(),
-        eigenvectors=np.ascontiguousarray(vectors[..., ::-1]),
+        eigenvectors=np.ascontiguousarray(vectors),
     )
 
 

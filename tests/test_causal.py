@@ -286,10 +286,10 @@ def test_verdict_paths_check_probabilities_once(monkeypatch):
     monkeypatch.setattr(coupling, "shannon_entropy", unreachable)
     qeci_infer(rho)
     assert checks == []
-    rotate_to_classical(rho)  # its clamped, normalized table is checked when built
-    assert checks == ["joint table"]
+    rotate_to_classical(rho)  # its clamped, normalized table is trusted as the library built it
+    assert checks == []
     classical_eci(JointDistribution.from_table(cells))  # checked when built, not again
-    assert checks == ["joint table"] * 2
+    assert checks == ["joint table"]
 
 
 def test_causal_couples_at_one_site():

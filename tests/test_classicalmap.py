@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qeci import classicalmap
 from qeci.causal import DegeneracyWarning, Direction, JointDistribution, classical_eci
-from qeci.channels import depolarizing_mixture
+from qeci.channels import ChannelSpec, bitflip_entangled, depolarizing_mixture
 from qeci.classicalmap import diag_embed, rotate_to_classical
-from qeci.density import validate_density
+from qeci.coupling import _probability_rows
+from qeci.density import spin_singlet, validate_density
 from qeci.linalg import _umath_linalg, partial_trace
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -105,3 +107,62 @@ def test_rotate_warns_on_degenerate_marginal():
     table = JointDistribution.from_table(np.full((2, 2), 0.25))
     with pytest.warns(DegeneracyWarning):
         rotate_to_classical(diag_embed(table))
+
+
+def _ginibre(rng, d: int, rank: int) -> np.ndarray:
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _rotated_corpus():
+    """(label, joint) pairs: the 76 points of the paper's sweeps, Ginibre joints of
+    every rank, degenerate joints, and joints a loose tol takes through the clamp."""
+    grid = [round(0.05 * k, 2) for k in range(1, 20)]
+    specs = [
+        ChannelSpec("qsc", q=0.4),
+        ChannelSpec("gqsc", q=0.4),
+        ChannelSpec("bitflip"),
+        ChannelSpec("depolarizing", q=0.4, gamma1=0.6, lambda1=0.8,
+                    gamma2=INV_SQRT2, lambda2=INV_SQRT2),
+    ]
+    corpus = [(f"{spec.kind} p={p}", spec.joint(p)) for spec in specs for p in grid]
+    rng = np.random.default_rng(64)
+    dims_list = [(2, 2), (2, 4), (4, 2), (3, 3), (4, 4)]
+    for dims in dims_list:
+        d = math.prod(dims)
+        for rank in range(1, d + 1):
+            rho = validate_density(_ginibre(rng, d, rank), dims)
+            corpus.append((f"ginibre {dims} rank {rank}", rho))
+    uniform = JointDistribution.from_table(np.full((2, 3), 1 / 6))
+    corpus += [
+        ("singlet", spin_singlet()),
+        ("bitflip p=0.2", bitflip_entangled(0.2)),
+        ("maximally mixed", validate_density(np.eye(9) / 9, (3, 3))),
+        ("uniform table embedded", diag_embed(uniform)),
+    ]
+    for dims in dims_list:
+        d = math.prod(dims)
+        for rank in (1, 2):
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = _ginibre(rng, d, rank) + 1e-7 * (noise + noise.conj().T)
+            m = m / np.trace(m).real
+            assert np.linalg.eigvalsh(m)[0] < 0.0  # validated only through the clamp
+            corpus.append((f"clamped {dims} rank {rank}", validate_density(m, dims, tol=1e-3)))
+    return corpus
+
+
+def test_every_rotated_table_passes_the_check_it_skips_unchanged():
+    # rotate_to_classical keeps its clamped, renormalized table unchecked
+    # (JointDistribution._trusted): over this corpus the probability check
+    # accepts each table and returns it byte for byte
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        corpus = _rotated_corpus()
+        tables = [(label, rotate_to_classical(rho).table) for label, rho in corpus]
+    assert len(corpus) == 76 + 45 + 4 + 10
+    for label, table in tables:
+        checked = _probability_rows(table.reshape(1, -1), "joint table", "joint table", ValueError)
+        assert checked.reshape(table.shape).tobytes() == table.tobytes(), label
+        assert table.dtype == float and table.flags.c_contiguous, label
+        assert not table.flags.writeable, label

@@ -555,3 +555,53 @@ def test_sets_the_heaps_cannot_couple_raise_as_under_the_numpy_rounds(monkeypatc
     with pytest.raises(ValueError) as got:
         greedy_min_entropy_coupling(marginals)
     assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def _lazy_masses_hold(marginals):
+    """The entropy is read off the masses as Python floats, and the masses array is
+    built on first read, with the bits, read-only flag and cache of an eager one."""
+    result = greedy_min_entropy_coupling(marginals)
+    assert "masses" not in vars(result)
+    assert repr(result) == f"CouplingResult(entropy_bits={result.entropy_bits!r})"
+    raw, total = coupling._greedy_rounds(marginals.rows)
+    masses = result.masses
+    assert masses.tobytes() == (np.array(raw) / total).tobytes()
+    assert result.entropy_bits.hex() == coupling._entropy_bits(masses).hex()
+    assert result.masses is masses and not masses.flags.writeable
+    with pytest.raises(ValueError):
+        masses[0] = 1.0
+    coords, ref_masses, _ = _reference_greedy(marginals.rows)
+    assert result.coords.tolist() == [list(c) for c in coords]
+    assert result.placements == tuple(map(Placement, coords, masses.tolist()))
+    assert masses.tolist() == ref_masses
+
+
+def _with_an_inf_row(rows_and_slot):
+    # a trusted set holding inf goes to the numpy rounds; its finite rows end the rounds
+    rows, slot = rows_and_slot
+    rows = MarginalSet.from_rows(rows).rows
+    inf_row = np.zeros(rows.shape[1])
+    inf_row[slot % rows.shape[1]] = math.inf
+    return MarginalSet._trusted(np.insert(rows, slot % (len(rows) + 1), inf_row, axis=0))
+
+
+_small_rows = st.one_of(_weight_rows, _dyadic_rows)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.lists(_small_rows, min_size=1, max_size=8).map(MarginalSet.from_rows),  # heaps
+        st.lists(_small_rows, min_size=9, max_size=16).map(MarginalSet.from_rows),  # numpy
+        st.tuples(st.lists(_small_rows, min_size=1, max_size=4), st.integers(0, 20)).map(
+            _with_an_inf_row
+        ),
+    )
+)
+def test_masses_are_built_on_first_read_as_the_eager_array(marginals):
+    _lazy_masses_hold(marginals)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SETS))
+def test_masses_are_built_on_first_read_on_the_reference_sets(name):
+    _lazy_masses_hold(MarginalSet.from_rows(REFERENCE_SETS[name]))

@@ -1,9 +1,12 @@
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+from qeci import linalg
+from qeci.density import validate_density
 from qeci.linalg import (
     DimensionMismatch,
     EigenConvergenceError,
@@ -259,6 +262,77 @@ def test_lapack_eigh_maps_a_nan_output_without_a_warning(vectors, name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EigenConvergenceError, match=f"^{_NOT_CONVERGED}: {name} returned nan$"):
             _lapack_eigh(a, vectors=vectors)
+
+
+def _eig_bytes(eig) -> tuple[bytes, bytes]:
+    return eig.eigenvalues.tobytes(), eig.eigenvectors.tobytes()
+
+
+def _linalg_outputs() -> list:
+    """Eigendecompositions, eigenvalues, certificates and densities of seeded
+    Ginibre stacks, singular matrices and clamp-path densities."""
+    rng = np.random.default_rng(33)
+    out = []
+    for shape in _KERNEL_SHAPES:
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        out += [_eig_bytes(hermitian_eig(a, herm_tol=math.inf)), _lapack_eigh(a, False).tobytes()]
+    for n in (1, 2, 3, 4, 8):
+        for rank in range(1, n + 1):  # singular up to full rank
+            g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            h = g @ g.conj().T
+            trace = complex(np.einsum("ii", h))
+            out += [_positive_definite(h, trace), _eig_bytes(hermitian_eig(h))]
+            rho = validate_density(h / trace.real, (n,))
+            out += [rho.mat.tobytes(), _eig_bytes(rho.eig)]
+        # least eigenvalue in [-tol, 0): decomposed, clamped and rebuilt
+        values = np.append(rng.dirichlet(np.ones(n - 1)), -1e-11) if n > 1 else [1.0]
+        rho = validate_density(_hermitian_with_spectrum(rng, values), (n,))
+        out += [rho.mat.tobytes(), _eig_bytes(rho.eig)]
+    return out
+
+
+@pytest.mark.parametrize("numpy_without", ["the private module", "its gufuncs"])
+def test_the_public_wrappers_stand_in_for_missing_kernels(monkeypatch, numpy_without):
+    # a numpy that renames or drops its private LAPACK gufuncs falls back to
+    # numpy.linalg's wrappers, with the same bits, certificates and errors
+    expected = _linalg_outputs()
+    stand_in = None if numpy_without == "the private module" else types.SimpleNamespace()
+    monkeypatch.setattr(linalg, "_umath_linalg", stand_in)
+    assert _linalg_outputs() == expected
+    for vectors, name in ((True, "eigh"), (False, "eigvalsh")):
+        with pytest.raises(EigenConvergenceError, match=f"^{_NOT_CONVERGED}: {name} returned nan$"):
+            _lapack_eigh(np.array([[1, 0], [np.inf, 1]], dtype=complex), vectors=vectors)
+    with pytest.raises(EigenConvergenceError, match=f"^{_NOT_CONVERGED}: eigh returned nan$"):
+        hermitian_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex), herm_tol=math.inf)
+    assert _positive_definite(-np.eye(2, dtype=complex), 0.0) is False  # LinAlgError
+    # a LAPACK failure: the wrapper raises LinAlgError where the gufunc gives nan
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", failing_gufunc(_umath_linalg.eigh_lo))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EigenConvergenceError, match=f"^{_NOT_CONVERGED}: eigh returned nan$"):
+            hermitian_eig(np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (7, 7), (3, 4, 4), (2, 3, 5, 5), (0, 0)])
+def test_reversing_before_the_gauge_keeps_every_eigenvector(shape):
+    # hermitian_eig reverses LAPACK's ascending columns, then rephases each by
+    # its own pivot; the gauge-then-reverse order gives the same bits
+    rng = np.random.default_rng(34)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    if len(shape) == 2 and shape[0] > 1:
+        a = np.diag(np.repeat([0.25, 0.5], shape[0])[: shape[0]]).astype(complex)  # ties
+    values, vectors = _lapack_eigh(a)
+    if vectors.size:
+        n = vectors.shape[-1]
+        columns = vectors.swapaxes(-1, -2).reshape(-1, n)
+        pivots = columns[np.arange(len(columns)), np.abs(columns).argmax(axis=1)]
+        vectors = vectors * (pivots.conj() / np.abs(pivots)).reshape(*vectors.shape[:-2], 1, n)
+    eig = hermitian_eig(a, herm_tol=math.inf)
+    assert eig.eigenvalues.tobytes() == values[..., ::-1].tobytes()
+    assert eig.eigenvectors.tobytes() == np.ascontiguousarray(vectors[..., ::-1]).tobytes()
+    assert eig.eigenvectors.flags.c_contiguous
 
 
 def _hermitian_with_spectrum(rng, values) -> np.ndarray:
